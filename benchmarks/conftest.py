@@ -3,7 +3,8 @@
 Experiment results are cached at session scope so that each figure's
 assertions and its pytest-benchmark timing draw from one computation.
 The printed tables are the reproduction artifacts — run with ``-s`` to
-see them, or read EXPERIMENTS.md for a recorded copy.
+see them.  ``repro figures`` maps each paper figure to its benchmark
+module, and each module's assertions state the paper claim it checks.
 """
 
 from __future__ import annotations

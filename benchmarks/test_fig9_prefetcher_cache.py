@@ -45,7 +45,7 @@ def test_fig9_prefetcher_cache_and_completion(benchmark, fig9_fig10_runs):
     # also measures NNL at 5.5x Leap's misses; at our ~500x-scaled-down
     # working set NNL's flood doubles as a brute-force cache and keeps
     # its raw miss count low — its cost shows up as pollution and
-    # completion time instead.  See EXPERIMENTS.md.)
+    # completion time instead, which the assertions below check.)
     assert leap.cache_misses < stride.cache_misses
     assert leap.cache_misses < readahead.cache_misses
 

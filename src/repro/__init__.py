@@ -46,10 +46,11 @@ from repro.sim.machine import (
     leap_config,
 )
 from repro.sim.process import PageAccess
-from repro.sim.run import RunResult, run_processes, warmup_process
+from repro.sim.run import RunResult, warmup_process
 from repro.sim.scheduler import (
     ConcurrentRunResult,
     ConcurrentScheduler,
+    run_processes,
     simulate_concurrent,
 )
 from repro.sim.simulate import simulate

@@ -42,6 +42,8 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.datapath.pipeline import FaultPipeline
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -167,8 +169,6 @@ class SanitizingFaultPipeline(FaultPipeline):
             )
         mask = table.resident_mask
         if mask is not None:
-            import numpy as np
-
             resident = int(mask.sum())
             if resident != len(mapped):
                 raise InvariantViolation(

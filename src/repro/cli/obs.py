@@ -113,9 +113,7 @@ def add_parsers(sub) -> None:
     export.add_argument(
         "--perfetto", metavar="FILE", help="write Chrome/Perfetto trace_event JSON"
     )
-    export.add_argument(
-        "--npz", metavar="FILE", help="write columnar .npz (requires numpy)"
-    )
+    export.add_argument("--npz", metavar="FILE", help="write columnar .npz")
     export.set_defaults(handler=_export)
 
     top = obs_sub.add_parser(
@@ -286,12 +284,7 @@ def _export(args: argparse.Namespace) -> int:
         path.write_text(json.dumps(trace, sort_keys=True) + "\n")
         print(f"wrote {path} ({len(trace['traceEvents'])} trace events)")
     if args.npz:
-        try:
-            path = write_npz(recording, args.npz)
-        except ImportError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        print(f"wrote {path}")
+        print(f"wrote {write_npz(recording, args.npz)}")
     return 0
 
 

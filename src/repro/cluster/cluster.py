@@ -110,25 +110,9 @@ class MemoryCluster:
         server.recover()
         return server
 
-    @property
-    def alive_servers(self) -> list[MemoryServer]:
-        return [server for server in self.servers.values() if server.alive]
-
     # -- introspection -----------------------------------------------------
-    def total_capacity_pages(self) -> int:
-        return sum(server.capacity_pages for server in self.servers.values())
-
-    def total_reserved_pages(self) -> int:
-        return sum(server.reserved_pages for server in self.servers.values())
-
     def utilizations(self) -> dict[int, float]:
         return {
             server_id: server.utilization
             for server_id, server in self.servers.items()
-        }
-
-    def server_stats(self) -> dict[int, dict]:
-        return {
-            server_id: server.stats_row()
-            for server_id, server in sorted(self.servers.items())
         }

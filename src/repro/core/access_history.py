@@ -39,10 +39,6 @@ class AccessHistory:
         return self._count
 
     @property
-    def head_index(self) -> int:
-        return self._head
-
-    @property
     def last_address(self) -> int | None:
         """The most recently recorded page address (for delta math)."""
         return self._last_address
@@ -108,10 +104,6 @@ class AccessHistory:
             self.push_delta(delta)
         if other.last_address is not None:
             self._last_address = other.last_address
-
-    def raw_slots(self) -> list[int]:
-        """The underlying buffer in storage order (Figure 5 layout)."""
-        return list(self._slots)
 
     def clear(self) -> None:
         self._slots = [0] * self.capacity

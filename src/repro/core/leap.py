@@ -76,11 +76,6 @@ class Leap:
         return Machine(self.to_config(seed=seed, **overrides))
 
     @classmethod
-    def paper_default(cls) -> "Leap":
-        """The exact configuration evaluated in §5."""
-        return cls()
-
-    @classmethod
     def prefetcher_only(cls) -> "Leap":
         """Leap's algorithm on the stock kernel data path (Fig. 8b)."""
         return cls(lean_data_path=False, eager_eviction=False)

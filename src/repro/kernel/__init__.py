@@ -10,9 +10,6 @@ page-table/LRU updates (:mod:`repro.kernel.vectorized`), and only the
 accesses that actually fault drop back to the staged pipeline — which
 stays in the tree as the bit-exact oracle the equivalence tests compare
 against (see ``docs/kernel.md``).
-
-numpy is required only when the vectorized engine is selected; the
-object engine never imports it.
 """
 
 from repro.kernel.columnar import (

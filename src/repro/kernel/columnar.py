@@ -59,16 +59,6 @@ class AccessBlock:
     def __len__(self) -> int:
         return len(self.vpn)
 
-    @classmethod
-    def from_accesses(cls, accesses: Iterable[PageAccess]) -> "AccessBlock":
-        """Pack an iterable of :class:`PageAccess` into one block."""
-        items = list(accesses)
-        return cls(
-            vpn=np.array([a.vpn for a in items], dtype=np.int64),
-            is_write=np.array([a.is_write for a in items], dtype=np.bool_),
-            think_ns=np.array([a.think_ns for a in items], dtype=np.int64),
-        )
-
     def accesses(self) -> Iterator[PageAccess]:
         """Unpack back into per-access objects (tests, interop)."""
         for vpn, is_write, think_ns in zip(

@@ -1,7 +1,6 @@
 """Kernel memory-management substrate: VMM, page cache, reclaim."""
 
 from repro.mem.cgroup import CgroupOverLimitError, MemoryCgroup
-from repro.mem.frames import FrameAllocator, OutOfFramesError
 from repro.mem.lru import ActiveInactiveLRU, LRUList
 from repro.mem.page import PAGE_SIZE, Page, PageFlags, PageKey, page_key
 from repro.mem.page_cache import (
@@ -26,12 +25,10 @@ __all__ = [
     "CgroupOverLimitError",
     "EagerFifoPolicy",
     "EvictionPolicy",
-    "FrameAllocator",
     "KswapdReclaimer",
     "LRUList",
     "LazyLRUPolicy",
     "MemoryCgroup",
-    "OutOfFramesError",
     "PAGE_SIZE",
     "Page",
     "PageCache",

@@ -68,10 +68,6 @@ class CacheStats:
     def total_adds(self) -> int:
         return self.demand_adds + self.prefetch_adds
 
-    @property
-    def total_hits(self) -> int:
-        return self.ready_hits + self.inflight_hits
-
 
 class PageCache:
     """Capacity-bounded store of fetched-but-unmapped pages."""

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 __all__ = ["PageTableEntry", "PageTable"]
 
 
@@ -110,8 +112,6 @@ class PageTable:
         dict of entries remains the source of truth; the mask is a
         derived index and is rebuilt from it here.
         """
-        import numpy as np
-
         mask = self.resident_mask
         if mask is None or len(mask) != address_space_pages:
             mask = np.zeros(address_space_pages, dtype=np.uint8)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.mem.page import PageKey
-from repro.metrics.latency import summarize
 
 __all__ = ["PrefetchMetrics"]
 
@@ -140,9 +139,6 @@ class PrefetchMetrics:
         if self.prefetch_issued == 0:
             return 0.0
         return self.evicted_unused / self.prefetch_issued
-
-    def timeliness_summary(self) -> dict[str, float]:
-        return summarize(self.timeliness_ns)
 
     def as_dict(self) -> dict[str, float]:
         return {

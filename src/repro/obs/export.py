@@ -11,6 +11,8 @@ exported Perfetto JSON in CI.
 
 from __future__ import annotations
 
+import numpy
+
 __all__ = ["to_perfetto", "to_npz_arrays", "write_npz"]
 
 #: One synthetic process per recording; tracks become Perfetto threads.
@@ -93,18 +95,7 @@ def to_perfetto(recording: dict) -> dict:
 
 
 def to_npz_arrays(recording: dict) -> dict:
-    """The array dict :func:`write_npz` saves (numpy arrays).
-
-    Raises an informative ImportError when numpy is missing — the
-    recording itself and the Perfetto exporter are stdlib-only.
-    """
-    try:
-        import numpy
-    except ImportError as error:  # pragma: no cover - depends on env
-        raise ImportError(
-            "`.npz` export needs numpy (pip install -e '.[vectorized]'); "
-            "the JSON recording and Perfetto export work without it"
-        ) from error
+    """The array dict :func:`write_npz` saves (numpy arrays)."""
     arrays: dict = {
         "names": numpy.array(recording["names"]),
         "provenance": numpy.array(
@@ -126,8 +117,6 @@ def write_npz(recording: dict, path) -> str:
     the returned path is the file actually written.
     """
     arrays = to_npz_arrays(recording)
-    import numpy
-
     path = str(path)
     if not path.endswith(".npz"):
         path += ".npz"

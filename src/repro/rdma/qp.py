@@ -90,12 +90,3 @@ class DispatchQueue:
         )
         self.stats.record(submission)
         return submission
-
-    def depth_at(self, now: int) -> int:
-        """Rough queue depth proxy: outstanding busy time in ops.
-
-        Used only for load-balancing decisions, where a relative signal
-        is sufficient.
-        """
-        backlog = max(0, self.busy_until - now)
-        return backlog

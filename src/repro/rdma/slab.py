@@ -51,10 +51,6 @@ class Slab:
     def is_full(self) -> bool:
         return self.used_slots >= self.capacity_pages
 
-    @property
-    def has_free_slot(self) -> bool:
-        return bool(self.free_slots)
-
     def allocate_slot(self, key: object) -> int:
         if key in self.page_slots:
             raise ValueError(f"page {key!r} already has a slot in slab {self.slab_id}")
@@ -184,10 +180,3 @@ class SlabAllocator:
         if slab is None:
             return None
         return slab.key_at(global_offset % self.slab_capacity_pages)
-
-    def slabs_on_machine(self, machine_id: int) -> list[Slab]:
-        return [
-            slab
-            for slab in self.slabs.values()
-            if slab.machine_id == machine_id or slab.replica_machine_id == machine_id
-        ]

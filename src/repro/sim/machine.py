@@ -69,9 +69,9 @@ class MachineConfig:
 
     seed: int = 42
     #: Burst execution engine: ``object`` walks one PageAccess at a
-    #: time through the staged pipeline; ``vectorized`` (requires
-    #: numpy) feeds drivers columnar access blocks and classifies whole
-    #: resident runs as array operations (:mod:`repro.kernel`).  Both
+    #: time through the staged pipeline; ``vectorized`` feeds drivers
+    #: columnar access blocks and classifies whole resident runs as
+    #: numpy array operations (:mod:`repro.kernel`).  Both
     #: produce bit-identical simulated metrics.  ``sanitize`` is the
     #: object engine plus per-burst structural invariant checks
     #: (:mod:`repro.analysis.sanitize`) — same metrics, debug-grade
@@ -129,14 +129,6 @@ class MachineConfig:
     def validate(self) -> None:
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.engine == "vectorized":
-            try:
-                import numpy  # noqa: F401
-            except ImportError as exc:
-                raise ValueError(
-                    "engine='vectorized' requires numpy; install it or "
-                    "use the default object engine"
-                ) from exc
         if self.data_path not in DATA_PATHS:
             raise ValueError(f"unknown data path {self.data_path!r}")
         if self.medium not in MEDIA:

@@ -2,11 +2,11 @@
 
 Each process owns a private :class:`VirtualClock`.  The driver advances
 it by the workload's *think time* (compute between memory touches) and
-by whatever latency the VMM charges for the access itself.  The
-scheduler in :mod:`repro.sim.run` interleaves processes by always
-stepping the one whose clock is furthest behind, which keeps shared
-infrastructure (dispatch queues, kswapd) seeing globally monotonic
-time.
+by whatever latency the VMM charges for the access itself.  Every run
+entry point steps drivers through the one scheduler loop,
+:class:`repro.sim.scheduler.ConcurrentScheduler`, which always steps
+the driver whose clock is furthest behind, so shared infrastructure
+(dispatch queues, kswapd) sees globally monotonic time.
 """
 
 from __future__ import annotations

@@ -19,6 +19,8 @@ import random
 from bisect import bisect_left
 from typing import Sequence
 
+import numpy as np
+
 
 #: Default batch size for pre-drawn sample pools (see
 #: :meth:`SimRandom.lognormal_pool`).  1024 i.i.d. draws preserve the
@@ -176,10 +178,8 @@ class SimRandom:
         numpy, drawing the batch, and copying the state back consumes
         exactly the same underlying stream as the scalar path — callers
         may freely interleave scalar and batched draws.  Used by the
-        columnar workload generators; requires numpy.
+        columnar workload generators.
         """
-        import numpy as np
-
         if count <= 0:
             return np.empty(0, dtype=np.float64)
         version, internal, gauss_next = self._rng.getstate()

@@ -1,23 +1,25 @@
-"""Simulation driver: warmup, scheduling, and run results.
+"""Run setup and results shared by every simulation entry point.
 
-``run_processes`` interleaves any number of process drivers by always
-stepping the one with the smallest local clock, so shared state (RDMA
-dispatch queues, the page cache, kswapd) observes globally monotonic
-time — this is what makes the four-applications-at-once experiment
-(Figure 13) meaningful rather than four serialized runs.
+``setup_processes`` is the one placement and warmup step behind
+:func:`~repro.sim.simulate.simulate`,
+:func:`~repro.sim.scheduler.simulate_concurrent` and
+:func:`~repro.sim.scheduler.simulate_cluster`: it gives each process a
+cgroup limit of ``memory_fraction`` of its working set and a home core,
+materializes the working sets, and resets measurements.  The measured
+phase then runs through the one event loop,
+:class:`~repro.sim.scheduler.ConcurrentScheduler`.
 
 ``warmup_process`` performs the materialization pass: touching the
 whole working set once populates the page tables, pushes the overflow
 past the cgroup limit, and thereby lays pages out in the backing store
 in eviction order — the layout both Read-Ahead and the slab mapper
-depend on.  Measurements are normally reset after warmup.
+depend on.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator, Mapping
 
 from repro.mem.vmm import AccessKind
 from repro.sim.machine import Machine
@@ -27,7 +29,7 @@ from repro.sim.units import NS_PER_SEC, to_seconds
 __all__ = [
     "ProcessSummary",
     "RunResult",
-    "run_processes",
+    "setup_processes",
     "summarize_driver",
     "warmup_process",
     "sequential_touch",
@@ -106,45 +108,41 @@ def warmup_process(machine: Machine, pid: int, start_ns: int = 0) -> int:
     return driver.finished_ns
 
 
-def run_processes(
+def setup_processes(
     machine: Machine,
-    drivers: Iterable[ProcessDriver],
-    max_total_accesses: int | None = None,
-) -> RunResult:
-    """Run drivers to completion with min-clock interleaving.
+    workloads: Mapping[int, object],
+    memory_fraction: float,
+    warmup: bool,
+    cores: int | None = None,
+) -> int:
+    """Place *workloads* (pid → workload) on *machine* and warm them up.
 
-    ``max_total_accesses`` is a safety valve for open-ended traces: when
-    the budget is hit, every driver is marked finished at its current
-    clock, so completion times remain meaningful.
+    Every process gets a cgroup limit of ``memory_fraction`` of its
+    working set (the paper's 1.0 / 0.5 / 0.25 settings) and a home core
+    assigned round-robin over ``cores`` (default: the machine's core
+    count).  With *warmup*, working sets are materialized one process
+    after another and measurements reset, so warmup activity is
+    excluded from all metrics.  Returns the simulated time the measured
+    phase starts at.
     """
-    all_drivers = list(drivers)
-    heap: list[tuple[int, int, ProcessDriver]] = []
-    for index, driver in enumerate(all_drivers):
-        heapq.heappush(heap, (driver.clock.now, index, driver))
-    executed = 0
-    while heap:
-        _, index, driver = heapq.heappop(heap)
-        # Burst: run this driver through the batched fault path for as
-        # long as it stays the min-clock choice — bit-identical to
-        # stepping one access per pop, minus the per-access overhead.
-        if heap:
-            stop_time, stop_index = heap[0][0], heap[0][1]
-        else:
-            stop_time, stop_index = None, 0
-        budget = None if max_total_accesses is None else max_total_accesses - executed
-        ran = driver.step_burst(machine.vmm, index, stop_time, stop_index, budget=budget)
-        if not ran:
-            continue
-        executed += ran
-        if max_total_accesses is not None and executed >= max_total_accesses:
-            driver.finished_ns = driver.clock.now
-            for _, _, leftover in heap:
-                leftover.finished_ns = leftover.clock.now
-            break
-        if not driver.done:
-            heapq.heappush(heap, (driver.clock.now, index, driver))
-    summaries = {driver.pid: summarize_driver(driver) for driver in all_drivers}
-    return RunResult(machine=machine, processes=summaries)
+    if not workloads:
+        raise ValueError("need at least one workload")
+    if not 0.0 < memory_fraction <= 1.0:
+        raise ValueError(f"memory_fraction must be in (0, 1], got {memory_fraction}")
+    n_cores = cores if cores is not None else machine.config.n_cores
+    if not 1 <= n_cores <= machine.config.n_cores:
+        raise ValueError(f"cores must be in [1, {machine.config.n_cores}], got {n_cores}")
+    for slot, (pid, workload) in enumerate(workloads.items()):
+        limit = max(2, int(workload.wss_pages * memory_fraction))
+        machine.add_process(
+            pid, wss_pages=workload.wss_pages, limit_pages=limit, core=slot % n_cores
+        )
+    start_ns = 0
+    if warmup:
+        for pid in workloads:
+            start_ns = max(start_ns, warmup_process(machine, pid, start_ns=start_ns))
+        machine.reset_measurements()
+    return start_ns
 
 
 def summarize_driver(driver: ProcessDriver) -> ProcessSummary:

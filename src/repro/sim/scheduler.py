@@ -19,7 +19,9 @@ replaces the serialized per-app loop with a shared event loop:
 
 Everything is driven by the deterministic (time, sequence) heap order,
 so a fixed seed reproduces the exact same schedule, migrations
-included.
+included.  This is the only run loop in the simulator:
+:func:`repro.sim.simulate.simulate` runs through it with migration off
+(:func:`run_processes`).
 """
 
 from __future__ import annotations
@@ -39,13 +41,14 @@ from repro.obs.names import (
     core_track,
 )
 from repro.sim.process import ProcessDriver, make_driver
-from repro.sim.run import ProcessSummary, RunResult, summarize_driver, warmup_process
+from repro.sim.run import ProcessSummary, RunResult, setup_processes, summarize_driver
 from repro.sim.units import ms, us
 
 __all__ = [
     "CoreSummary",
     "ConcurrentRunResult",
     "ConcurrentScheduler",
+    "run_processes",
     "simulate_cluster",
     "simulate_concurrent",
 ]
@@ -365,6 +368,23 @@ class ConcurrentScheduler:
         )
 
 
+def run_processes(
+    machine,
+    drivers: Iterable[ProcessDriver],
+    max_total_accesses: int | None = None,
+) -> ConcurrentRunResult:
+    """Run *drivers* to completion, each on its home core, never migrating.
+
+    The scheduler loop with migration off: a driver alone on its core
+    is stepped purely in min-clock order, so shared state (RDMA dispatch
+    queues, the page cache, kswapd) observes globally monotonic time.
+    ``max_total_accesses`` is a safety valve for open-ended traces: when
+    the budget is hit, every driver is marked finished at its current
+    clock, so completion times remain meaningful.
+    """
+    return ConcurrentScheduler(machine, drivers, allow_migration=False).run(max_total_accesses)
+
+
 def simulate_concurrent(
     machine,
     workloads: Mapping[int, object],
@@ -381,40 +401,16 @@ def simulate_concurrent(
 ) -> ConcurrentRunResult:
     """Wire *workloads* onto *machine* and run them concurrently.
 
-    The concurrent counterpart of :func:`repro.sim.simulate.simulate`:
-    each process gets a cgroup limit of ``memory_fraction`` of its
-    working set and a home core assigned round-robin over ``cores``
-    (default: the machine's core count); working sets are materialized
-    by a serialized warmup pass, measurements reset, and the measured
-    phase runs through the :class:`ConcurrentScheduler`.
+    Placement and warmup are :func:`repro.sim.run.setup_processes`,
+    shared with :func:`repro.sim.simulate.simulate`; the measured phase
+    runs through the :class:`ConcurrentScheduler` with migration
+    between ``cores`` (default: the machine's core count) allowed.
 
     *timeline* events are scheduled relative to the start of the
     measured phase (warmup shifts them), so a plan means the same thing
     at any working-set size.
     """
-    if not workloads:
-        raise ValueError("need at least one workload")
-    if not 0.0 < memory_fraction <= 1.0:
-        raise ValueError(f"memory_fraction must be in (0, 1], got {memory_fraction}")
-    n_cores = cores if cores is not None else machine.config.n_cores
-    if not 1 <= n_cores <= machine.config.n_cores:
-        raise ValueError(
-            f"cores must be in [1, {machine.config.n_cores}], got {n_cores}"
-        )
-    for slot, (pid, workload) in enumerate(workloads.items()):
-        limit = max(2, int(workload.wss_pages * memory_fraction))
-        machine.add_process(
-            pid,
-            wss_pages=workload.wss_pages,
-            limit_pages=limit,
-            core=slot % n_cores,
-        )
-    start_ns = 0
-    if warmup:
-        for pid in workloads:
-            finish = warmup_process(machine, pid, start_ns=start_ns)
-            start_ns = max(start_ns, finish)
-        machine.reset_measurements()
+    start_ns = setup_processes(machine, workloads, memory_fraction, warmup, cores=cores)
     drivers = [
         make_driver(pid, workload, start_ns=start_ns, engine=machine.config.driver_engine)
         for pid, workload in workloads.items()
@@ -422,7 +418,7 @@ def simulate_concurrent(
     scheduler = ConcurrentScheduler(
         machine,
         drivers,
-        cores=n_cores,
+        cores=cores,
         migration_threshold_ns=migration_threshold_ns,
         migration_cost_ns=migration_cost_ns,
         allow_migration=allow_migration,

@@ -4,13 +4,17 @@
 evaluation does: each process gets a cgroup limit expressed as a
 fraction of its peak (working set) memory — the 100% / 50% / 25%
 columns of Figure 11 — the working set is materialized by a warmup
-pass, measurements are reset, and the measured run is executed with
-min-clock interleaving.
+pass and measurements are reset (:func:`repro.sim.run.setup_processes`,
+shared with the concurrent and cluster entry points).
 
-Like the concurrent and cluster engines, every access faults through
-the one staged :class:`~repro.datapath.pipeline.FaultPipeline` via the
-batched driver path (:meth:`~repro.sim.process.ProcessDriver.step_burst`),
-so completions are drained and background reclaim checked at batch
+The measured run is the one scheduler loop,
+:class:`~repro.sim.scheduler.ConcurrentScheduler`, with migration off
+(:func:`~repro.sim.scheduler.run_processes`): each process stays on its
+round-robin home core and the min-clock driver steps next.  Every access
+faults through the one staged
+:class:`~repro.datapath.pipeline.FaultPipeline` via the batched driver
+path (:meth:`~repro.sim.process.ProcessDriver.step_burst`), so
+completions are drained and background reclaim checked at batch
 boundaries instead of once per access.
 """
 
@@ -20,7 +24,8 @@ from typing import Mapping
 
 from repro.sim.machine import Machine
 from repro.sim.process import make_driver
-from repro.sim.run import RunResult, run_processes, warmup_process
+from repro.sim.run import RunResult, setup_processes
+from repro.sim.scheduler import run_processes
 from repro.workloads.base import Workload
 
 __all__ = ["simulate"]
@@ -38,23 +43,10 @@ def simulate(
     ``memory_fraction`` sets every process's cgroup limit to that
     fraction of its working set (the paper's 1.0 / 0.5 / 0.25 settings).
     Returns the measured :class:`RunResult`; warmup activity is excluded
-    from all metrics.
+    from all metrics.  Processes that share a core (more workloads than
+    ``MachineConfig.n_cores``) contend for it.
     """
-    if not workloads:
-        raise ValueError("need at least one workload")
-    if not 0.0 < memory_fraction <= 1.0:
-        raise ValueError(
-            f"memory_fraction must be in (0, 1], got {memory_fraction}"
-        )
-    for pid, workload in workloads.items():
-        limit = max(2, int(workload.wss_pages * memory_fraction))
-        machine.add_process(pid, wss_pages=workload.wss_pages, limit_pages=limit)
-    start_ns = 0
-    if warmup:
-        for pid in workloads:
-            finish = warmup_process(machine, pid, start_ns=start_ns)
-            start_ns = max(start_ns, finish)
-        machine.reset_measurements()
+    start_ns = setup_processes(machine, workloads, memory_fraction, warmup)
     drivers = [
         make_driver(pid, workload, start_ns=start_ns, engine=machine.config.driver_engine)
         for pid, workload in workloads.items()

@@ -22,8 +22,7 @@ The sibling modules cover the trace lifecycle:
   that ``repro perf compare`` diffs.
 
 Everything here is deterministic (lint rules R1/R2 cover this package)
-and numpy is imported lazily, so the package imports cleanly on
-object-engine-only installs; the CLI raises a clear error instead.
+and built on numpy, a core dependency of the package.
 """
 
 from repro.trace.analyze import analyze_columns, analyze_trace_file

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from repro.perf.artifacts import ARTIFACT_SCHEMA_VERSION
 
 __all__ = ["analyze_columns", "analyze_trace_file"]
@@ -48,8 +50,6 @@ def _reuse_distances(vpn):
     a group is the number of accesses between two touches (successor
     index minus current index).  Returns (distances, unique_pages).
     """
-    import numpy as np
-
     order = np.argsort(vpn, kind="stable")
     sorted_vpn = vpn[order]
     same = sorted_vpn[1:] == sorted_vpn[:-1]
@@ -60,8 +60,6 @@ def _reuse_distances(vpn):
 
 def _cdf_fractions(values, prefix: str) -> dict:
     """``{prefix}_le_<t>`` cumulative fractions at the fixed thresholds."""
-    import numpy as np
-
     row = {}
     total = len(values)
     for threshold in CDF_THRESHOLDS:
@@ -76,8 +74,6 @@ def _cdf_fractions(values, prefix: str) -> dict:
 
 
 def _percentile_row(values, prefix: str) -> dict:
-    import numpy as np
-
     if len(values) == 0:
         return {f"{prefix}_p50": 0.0, f"{prefix}_p90": 0.0, f"{prefix}_p99": 0.0}
     p50, p90, p99 = np.percentile(values, (50, 90, 99))
@@ -130,8 +126,6 @@ def analyze_columns(
     artifact diffs cleanly under ``repro perf compare`` and a selected
     metric can be gated like any perf metric.
     """
-    import numpy as np
-
     vpn = np.asarray(vpn)
     count = len(vpn)
     if count == 0:

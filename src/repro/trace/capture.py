@@ -13,6 +13,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
+from repro.provenance import code_revision, spec_hash
+from repro.trace.format import write_trace_v2
 from repro.workloads.base import Workload
 
 __all__ = ["capture_scenario_tenant", "capture_workload", "workload_provenance"]
@@ -20,8 +24,6 @@ __all__ = ["capture_scenario_tenant", "capture_workload", "workload_provenance"]
 
 def workload_provenance(workload: Workload, extra: dict | None = None) -> dict:
     """Provenance stamped into a captured header: spec hash + code rev."""
-    from repro.provenance import code_revision, spec_hash
-
     spec = {
         "kind": type(workload).__name__,
         "name": workload.name,
@@ -51,10 +53,6 @@ def capture_workload(
     with :func:`~repro.trace.format.write_trace_v2` (trivial columns
     dropped, atomic replace).
     """
-    import numpy as np
-
-    from repro.trace.format import write_trace_v2
-
     vpn_parts = []
     write_parts = []
     think_parts = []

@@ -1,18 +1,19 @@
 """Sniff, load, and convert between trace formats (v1 text ↔ v2 binary).
 
-The sniffers and metadata readers here are stdlib-only so callers that
-merely need to *identify* a trace — ``repro trace list``, the service
-front door accepting a trace path as a tenant source — work on
-object-engine-only installs.  Only actually touching v2 column data
-(:func:`load_any_trace` on a v2 file, :func:`convert_trace`) needs
-numpy, and that import stays lazy.
+The sniffers and metadata readers here read only file headers, so
+callers that merely need to *identify* a trace — ``repro trace list``,
+the service front door accepting a trace path as a tenant source —
+never load its data.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.trace.format import MAGIC, TraceFormatError, read_trace_v2_header
+from repro.provenance import code_revision
+from repro.trace.capture import capture_workload
+from repro.trace.format import MAGIC, TraceFormatError, open_trace_v2, read_trace_v2_header
+from repro.workloads.trace_io import _parse_metadata, load_trace, save_trace
 
 __all__ = [
     "convert_trace",
@@ -40,8 +41,6 @@ def sniff_trace(path: str | Path) -> str | None:
 
 
 def _read_v1_meta(path: Path) -> dict:
-    from repro.workloads.trace_io import _parse_metadata
-
     with path.open("r", encoding="utf-8") as handle:
         handle.readline()
         metadata = _parse_metadata(handle.readline())
@@ -67,9 +66,9 @@ def read_trace_meta(path: str | Path) -> dict:
 
     Returns ``format`` (``repro-trace/1`` or ``repro-trace/2``),
     ``name``, ``wss_pages``, ``think_ns``, ``count``, ``provenance``,
-    and for v2 the on-disk ``columns`` list.  Stdlib-only: a v2 header
-    parse plus derived-size validation, or the two v1 header lines (a
-    v1 file without a ``count`` field is scanned to count it).
+    and for v2 the on-disk ``columns`` list.  Reads headers only: a v2
+    header parse plus derived-size validation, or the two v1 header
+    lines (a v1 file without a ``count`` field is scanned to count it).
     """
     path = Path(path)
     kind = sniff_trace(path)
@@ -94,19 +93,15 @@ def load_any_trace(path: str | Path):
 
     v1 text loads eagerly into a
     :class:`~repro.workloads.trace_io.RecordedWorkload`; v2 memory-maps
-    into a :class:`~repro.trace.format.ColumnarTraceWorkload` (needs
-    numpy).  Both expose identical ``accesses()`` / ``columnar_blocks()``
-    contracts, so callers need not care which they got.
+    into a :class:`~repro.trace.format.ColumnarTraceWorkload`.  Both
+    expose identical ``accesses()`` / ``columnar_blocks()`` contracts,
+    so callers need not care which they got.
     """
     path = Path(path)
     kind = sniff_trace(path)
     if kind == "v2":
-        from repro.trace.format import open_trace_v2
-
         return open_trace_v2(path)
     if kind == "v1":
-        from repro.workloads.trace_io import load_trace
-
         return load_trace(path)
     raise TraceFormatError(f"{path}: not a repro trace (v1 or v2)")
 
@@ -122,10 +117,6 @@ def convert_trace(src: str | Path, dst: str | Path) -> dict:
     src, dst = Path(src), Path(dst)
     kind = sniff_trace(src)
     if kind == "v1":
-        from repro.provenance import code_revision
-        from repro.trace.capture import capture_workload
-        from repro.workloads.trace_io import load_trace
-
         workload = load_trace(src)
         return capture_workload(
             workload,
@@ -137,9 +128,6 @@ def convert_trace(src: str | Path, dst: str | Path) -> dict:
             },
         )
     if kind == "v2":
-        from repro.trace.format import open_trace_v2
-        from repro.workloads.trace_io import save_trace
-
         workload = open_trace_v2(src)
         count = save_trace(
             dst,
@@ -164,8 +152,9 @@ def trace_tenant_scenario(path: str | Path, *, tenant_name: str | None = None) -
     This is how ``repro service submit <trace-file>`` turns a bare
     trace path into a job: the dict round-trips through
     :meth:`repro.scenarios.spec.Scenario.from_dict` and replays the
-    recording as one ``workload="trace"`` tenant.  Stdlib-only — the
-    trace itself is opened later, by the worker that runs the job.
+    recording as one ``workload="trace"`` tenant.  Only the header is
+    read here — the trace itself is opened later, by the worker that
+    runs the job.
     """
     path = Path(path)
     meta = read_trace_meta(path)

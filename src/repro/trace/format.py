@@ -33,6 +33,9 @@ import struct
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
+from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock
 from repro.sim.process import PageAccess
 from repro.workloads.base import Workload
 
@@ -109,8 +112,6 @@ def write_trace_v2(
     synthesizes them), so a constant-think read trace costs 8 bytes per
     access.  The write is atomic (temp file + ``os.replace``).
     """
-    import numpy as np
-
     vpn = np.ascontiguousarray(vpn, dtype=np.int64)
     if vpn.ndim != 1 or len(vpn) == 0:
         raise ValueError("vpn must be a non-empty 1-d array")
@@ -174,7 +175,7 @@ def write_trace_v2(
 
 
 def read_trace_v2_header(path: str | Path) -> dict:
-    """Read and validate a v2 header (stdlib-only; no numpy needed)."""
+    """Read and validate a v2 header without mapping the column data."""
     path = Path(path)
     with path.open("rb") as handle:
         magic = handle.read(len(MAGIC))
@@ -226,8 +227,6 @@ def open_trace_v2(
     bounds scans (vpn within the working set, is_write ∈ {0, 1}) —
     milliseconds per million accesses, skippable for hot reopen paths.
     """
-    import numpy as np
-
     path = Path(path)
     header = read_trace_v2_header(path)
     count = header["count"]
@@ -318,8 +317,6 @@ class ColumnarTraceWorkload(Workload):
 
     def columnar_blocks(self, block_size: int | None = None):
         """Block views sliced straight off the columns (zero-copy)."""
-        from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock
-
         if block_size is None:
             block_size = DEFAULT_BLOCK_SIZE
         if block_size <= 0:

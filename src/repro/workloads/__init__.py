@@ -1,6 +1,6 @@
 """Synthetic workload traces standing in for the paper's applications."""
 
-from repro.workloads.base import Workload, materialize_trace
+from repro.workloads.base import Workload, materialize_columns
 from repro.workloads.memcached import MemcachedWorkload
 from repro.workloads.mixer import burst_interleave, weighted_choice
 from repro.workloads.numpy_matmul import NumpyMatmulWorkload
@@ -31,7 +31,7 @@ __all__ = [
     "ZipfianWorkload",
     "burst_interleave",
     "load_trace",
-    "materialize_trace",
+    "materialize_columns",
     "save_trace",
     "weighted_choice",
 ]

@@ -14,10 +14,13 @@ from __future__ import annotations
 import abc
 from typing import Iterator
 
+import numpy as np
+
+from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock, pack_blocks
 from repro.sim.process import PageAccess
 from repro.sim.rng import SimRandom
 
-__all__ = ["Workload", "materialize_columns", "materialize_trace"]
+__all__ = ["Workload", "materialize_columns"]
 
 
 class Workload(abc.ABC):
@@ -80,8 +83,6 @@ class Workload(abc.ABC):
         clamped with the same ``% wss_pages``.  Blocks are *block_size*
         long except the last.
         """
-        from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock, pack_blocks
-
         if block_size is None:
             block_size = DEFAULT_BLOCK_SIZE
         rng = SimRandom(self.seed, f"workload/{self.name}")
@@ -90,7 +91,6 @@ class Workload(abc.ABC):
         if native is None:
             yield from pack_blocks(self.accesses(), block_size)
             return
-        import numpy as np
 
         wss = self.wss_pages
         think = self.think_ns
@@ -162,29 +162,16 @@ class Workload(abc.ABC):
             )
 
 
-def materialize_trace(workload: Workload) -> list[PageAccess]:
-    """Fully expand a workload (for analysis such as Figure 3).
-
-    Object form — one :class:`PageAccess` per touch.  Analysis paths
-    that only need arrays should prefer :func:`materialize_columns`,
-    which never builds the per-access objects.
-    """
-    return list(workload.accesses())
-
-
 def materialize_columns(workload: Workload):
     """The workload's full trace as ``(vpn, is_write, think_ns)`` arrays.
 
-    The columnar twin of :func:`materialize_trace`: concatenates the
-    workload's :meth:`~Workload.columnar_blocks` stream (bit-identical
+    Fully expands a workload for analysis (Figure 3, ``repro trace
+    analyze``): concatenates the workload's :meth:`~Workload.columnar_blocks` stream (bit-identical
     to :meth:`~Workload.accesses` by contract) into three int64/bool
     arrays without a per-access object detour.  Workloads that already
     hold their columns (``ColumnarTraceWorkload``) are returned
-    zero-copy via their ``columns()`` fast path.  Needs numpy — callers
-    that must run without it fall back to :func:`materialize_trace`.
+    zero-copy via their ``columns()`` fast path.
     """
-    import numpy as np
-
     columns = getattr(workload, "columns", None)
     if columns is not None:
         return columns()

@@ -18,8 +18,8 @@ The lookup draws are the only randomness, taken from one labelled
 stream mirrored exactly by ``SimRandom.random_array``, and everything
 else is closed-form arithmetic — so :meth:`columnar_blocks` generates
 the columns natively (arange/power/mod, no per-access Python) while
-:meth:`accesses` replays the identical sequence object-by-object
-without numpy.  This is the flagship trace family for ``repro trace``:
+:meth:`accesses` replays the identical sequence object-by-object as
+its oracle.  This is the flagship trace family for ``repro trace``:
 capture it at millions of accesses, replay it zero-copy, and the
 analyzer shows the three regimes as distinct regions.
 """
@@ -28,6 +28,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
+from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock
 from repro.sim.process import PageAccess
 from repro.sim.rng import SimRandom
 from repro.workloads.base import Workload
@@ -143,10 +146,6 @@ class KVCacheWorkload(Workload):
         ``SimRandom.random_array`` (the per-call ``random()`` mirror),
         and the identical float64 power/truncate arithmetic.
         """
-        import numpy as np
-
-        from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock
-
         if block_size is None:
             block_size = DEFAULT_BLOCK_SIZE
         rng = SimRandom(self.seed, f"workload/{self.name}")

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.sim.rng import SimRandom
+import numpy as np
+
+from repro.sim.rng import SimRandom, _zipf_cdf
 from repro.workloads.base import Workload
 
 __all__ = [
@@ -54,8 +56,6 @@ class SequentialWorkload(Workload):
             yield from sequential_run(0, self.wss_pages)
 
     def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        import numpy as np
-
         sweep = np.arange(self.wss_pages, dtype=np.int64)
         while True:
             yield sweep
@@ -93,8 +93,6 @@ class StrideWorkload(Workload):
                 position = phase
 
     def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        import numpy as np
-
         wss, stride = self.wss_pages, self.stride
         phase = 0
         while True:
@@ -121,8 +119,6 @@ class RandomWorkload(Workload):
         # Uniform draws cannot be vectorized bit-exactly (they come
         # from Python's Mersenne Twister), but batching them into
         # arrays still skips per-access object construction.
-        import numpy as np
-
         wss = self.wss_pages
         randrange = rng.randrange
         while True:
@@ -159,10 +155,6 @@ class ZipfianWorkload(Workload):
         # Same spawn order and uniform draws as _vpn_stream; only the
         # inverse-transform lookup is vectorized, and searchsorted on
         # the float64 CDF computes the identical bisect_left index.
-        import numpy as np
-
-        from repro.sim.rng import _zipf_cdf
-
         wss = self.wss_pages
         scatter = list(range(wss))
         rng.spawn("scatter").shuffle(scatter)

@@ -34,9 +34,12 @@ Phase dicts are JSON-shaped, so a phased tenant round-trips through
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
-from repro.sim.rng import SimRandom
+import numpy as np
+
+from repro.sim.rng import SimRandom, _zipf_cdf
 from repro.workloads.base import Workload
 
 __all__ = ["PhasedWorkload", "PHASE_KINDS"]
@@ -163,11 +166,6 @@ class PhasedWorkload(Workload):
         RNG through the object stream, batched with ``fromiter`` —
         either way each phase contributes exactly its access share.
         """
-        import numpy as np
-        from itertools import islice
-
-        from repro.sim.rng import _zipf_cdf
-
         wss = self.wss_pages
         for index, (phase, count) in enumerate(zip(self.phases, self.phase_accesses)):
             phase_rng = rng.spawn(f"phase{index}")

@@ -22,6 +22,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
+from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock
 from repro.sim.process import PageAccess
 from repro.workloads.base import Workload
 
@@ -177,14 +180,10 @@ class RecordedWorkload(Workload):
         stored list (write flags and per-access think times included)
         and reused across replays of the same workload object.
         """
-        from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock
-
         if block_size is None:
             block_size = DEFAULT_BLOCK_SIZE
         cached = getattr(self, "_columnar_cache", None)
         if cached is None or cached[0] != block_size:
-            import numpy as np
-
             blocks = []
             items = self._accesses
             for start in range(0, len(items), block_size):

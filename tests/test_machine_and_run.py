@@ -11,9 +11,10 @@ from repro.sim.machine import (
     leap_config,
 )
 from repro.sim.process import PageAccess, ProcessDriver
-from repro.sim.run import run_processes, warmup_process
+from repro.sim.run import warmup_process
+from repro.sim.scheduler import run_processes, simulate_concurrent
 from repro.sim.simulate import simulate
-from repro.workloads.patterns import SequentialWorkload, StrideWorkload
+from repro.workloads.patterns import SequentialWorkload, StrideWorkload, ZipfianWorkload
 
 
 class TestMachineConfig:
@@ -165,3 +166,25 @@ class TestSimulateAPI:
         assert result.makespan_ns >= max(
             p.completion_ns for p in result.processes.values()
         )
+
+    @pytest.mark.parametrize("engine", ["object", "vectorized"])
+    def test_simulate_is_the_scheduler_without_migration(self, engine):
+        """simulate and simulate_concurrent share one setup and one loop."""
+
+        def tenants():
+            return {
+                1: SequentialWorkload(512, 3_000, seed=1, write_fraction=0.2),
+                2: StrideWorkload(512, 3_000, stride=7, seed=2),
+                3: ZipfianWorkload(512, 3_000, skew=1.2, seed=3),
+            }
+
+        solo = simulate(Machine(leap_config(engine=engine)), tenants(), memory_fraction=0.5)
+        scheduled = simulate_concurrent(
+            Machine(leap_config(engine=engine)),
+            tenants(),
+            memory_fraction=0.5,
+            allow_migration=False,
+        )
+        assert solo.metrics.faults > 0
+        assert solo.processes == scheduled.processes
+        assert solo.metrics.as_dict() == scheduled.metrics.as_dict()

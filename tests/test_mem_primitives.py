@@ -1,63 +1,10 @@
-"""Tests for frames, page tables, cgroups, and page metadata."""
+"""Tests for page tables, cgroups, and page metadata."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.mem.cgroup import CgroupOverLimitError, MemoryCgroup
-from repro.mem.frames import FrameAllocator, OutOfFramesError
 from repro.mem.page import Page, PageFlags, page_key
 from repro.mem.page_table import PageTable
-
-
-class TestFrameAllocator:
-    def test_allocate_until_exhausted(self):
-        allocator = FrameAllocator(3)
-        frames = [allocator.allocate() for _ in range(3)]
-        assert len(set(frames)) == 3
-        with pytest.raises(OutOfFramesError):
-            allocator.allocate()
-
-    def test_try_allocate_returns_none_when_full(self):
-        allocator = FrameAllocator(1)
-        assert allocator.try_allocate() is not None
-        assert allocator.try_allocate() is None
-
-    def test_free_recycles(self):
-        allocator = FrameAllocator(1)
-        frame = allocator.allocate()
-        allocator.free(frame)
-        assert allocator.allocate() == frame
-
-    def test_double_free_rejected(self):
-        allocator = FrameAllocator(2)
-        frame = allocator.allocate()
-        allocator.free(frame)
-        with pytest.raises(ValueError):
-            allocator.free(frame)
-
-    def test_free_unallocated_rejected(self):
-        allocator = FrameAllocator(2)
-        with pytest.raises(ValueError):
-            allocator.free(0)
-
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError):
-            FrameAllocator(0)
-
-    @given(st.lists(st.booleans(), max_size=300))
-    def test_conservation_under_random_ops(self, ops):
-        allocator = FrameAllocator(16)
-        held: list[int] = []
-        for do_alloc in ops:
-            if do_alloc:
-                frame = allocator.try_allocate()
-                if frame is not None:
-                    held.append(frame)
-            elif held:
-                allocator.free(held.pop())
-            assert allocator.check_conservation()
-            assert allocator.allocated_count == len(held)
 
 
 class TestPageTable:

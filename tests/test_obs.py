@@ -13,6 +13,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy
 import pytest
 
 from repro.cli import main as cli_main
@@ -178,8 +179,6 @@ class TestByteIdentity:
     def test_fig13_traced_equals_untraced(self, engine):
         from repro.perf.profile import fig13_profile
 
-        if engine == "vectorized":
-            pytest.importorskip("numpy")
         scale = dict(wss_pages=256, accesses=1200, cores=2, engine=engine)
         traced, _ = fig13_profile(observer=RunRecorder(), **scale)
         untraced, _ = fig13_profile(**scale)
@@ -188,7 +187,6 @@ class TestByteIdentity:
         assert canonical_json(traced) == canonical_json(untraced)
 
     def test_traced_recordings_identical_across_engines(self):
-        pytest.importorskip("numpy")
         from repro.perf.profile import fig13_profile
 
         recordings = {}
@@ -347,7 +345,6 @@ class TestExport:
         assert first_span["ts"] == start_ns / 1e3
 
     def test_npz_round_trip(self, recorded, tmp_path):
-        numpy = pytest.importorskip("numpy")
         from repro.obs.export import write_npz
 
         recording, _ = recorded
@@ -475,7 +472,6 @@ class TestObsCli:
         assert "code_rev" in printed
 
     def test_export_perfetto_and_npz(self, recording_file, tmp_path, capsys):
-        pytest.importorskip("numpy")
         perfetto = tmp_path / "trace.json"
         npz = tmp_path / "trace.npz"
         assert (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.pattern_windows import window_fractions
-from repro.workloads.base import materialize_trace
+from repro.workloads.base import materialize_columns
 from repro.workloads.memcached import MemcachedWorkload
 from repro.workloads.numpy_matmul import NumpyMatmulWorkload
 from repro.workloads.patterns import (
@@ -34,10 +34,10 @@ class TestContracts:
     @pytest.mark.parametrize("factory", ALL_WORKLOADS)
     def test_length_and_bounds(self, factory):
         workload = factory()
-        trace = materialize_trace(workload)
-        assert len(trace) == workload.total_accesses
-        assert all(0 <= access.vpn < workload.wss_pages for access in trace)
-        assert all(access.think_ns == workload.think_ns for access in trace)
+        vpn, _, think_ns = materialize_columns(workload)
+        assert len(vpn) == workload.total_accesses
+        assert ((vpn >= 0) & (vpn < workload.wss_pages)).all()
+        assert (think_ns == workload.think_ns).all()
 
     @pytest.mark.parametrize("factory", ALL_WORKLOADS)
     def test_determinism(self, factory):
@@ -52,9 +52,8 @@ class TestContracts:
 
     def test_write_fraction_roughly_respected(self):
         workload = PowerGraphWorkload(2_048, 8_000, seed=3)
-        trace = materialize_trace(workload)
-        writes = sum(1 for a in trace if a.is_write)
-        assert 0.15 < writes / len(trace) < 0.35  # configured 0.25
+        _, is_write, _ = materialize_columns(workload)
+        assert 0.15 < is_write.mean() < 0.35  # configured 0.25
 
     def test_validation(self):
         with pytest.raises(ValueError):

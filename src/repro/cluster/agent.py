@@ -72,38 +72,13 @@ class ClusterHostAgent(HostAgent):
     def _placement_load(self, agent: MemoryServer) -> float:
         return agent.load_score(self._now_hint)
 
-    # -- server resolution -------------------------------------------------
-    def resolve_server(self, key: object) -> int | None:
-        """The server a read of *key* would hit right now, if placed."""
-        location = self.allocator.location_of(key)
-        if location is None:
-            return None
-        slab = self.allocator.slab_of(location)
-        if self.remote_agents[slab.machine_id].alive:
-            return slab.machine_id
-        replica_id = slab.replica_machine_id
-        if replica_id is not None and self.remote_agents[replica_id].alive:
-            return replica_id
-        return None
-
-    def _server_for_read(self, slab: Slab, hint: int | None) -> MemoryServer:
-        if hint is not None and hint in (slab.machine_id, slab.replica_machine_id):
-            server = self.remote_agents[hint]
-            if server.alive:
-                if hint != slab.machine_id:
-                    self.failovers += 1
-                return server
-        return self._readable_machine(slab)
-
     # -- data movement -----------------------------------------------------
-    def read_page(
-        self, key: object, now: int, core: int = 0, server: int | None = None
-    ) -> Submission:
+    def read_page(self, key: object, now: int, core: int = 0) -> Submission:
         """Host dispatch, then the serving server's QP and fabric."""
         self._now_hint = now
         location = self.place_page(key)
         slab = self.allocator.slab_of(location)
-        target = self._server_for_read(slab, server)
+        target = self._readable_machine(slab)
         self.reads += 1
         target.reads += 1
         if self.tracer.enabled:
@@ -127,9 +102,7 @@ class ClusterHostAgent(HostAgent):
         server.writes += 1
         return server.submit(host.completed, core)
 
-    def write_page(
-        self, key: object, now: int, core: int = 0, server: int | None = None
-    ) -> Submission:
+    def write_page(self, key: object, now: int, core: int = 0) -> Submission:
         """Write to the primary (and replica), record contents."""
         self._now_hint = now
         location = self.place_page(key)

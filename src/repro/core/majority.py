@@ -53,7 +53,7 @@ def verified_majority(values: Sequence[int]) -> int | None:
     candidate = majority_candidate(values)
     if candidate is None:
         return None
-    occurrences = sum(1 for value in values if value == candidate)
+    occurrences = values.count(candidate)
     if occurrences >= majority_threshold(len(values)):
         return candidate
     return None

@@ -29,35 +29,20 @@ class IOBackend(abc.ABC):
     name: str
 
     @abc.abstractmethod
-    def submit_read(
-        self, key: object, now: int, core: int, server: int | None = None
-    ) -> Submission:
-        """Submit a one-page read; returns its queue/completion timing.
-
-        *server* is the pre-resolved serving node (see
-        :meth:`resolve_server`); backends without per-server state
-        ignore it.
-        """
+    def submit_read(self, key: object, now: int, core: int) -> Submission:
+        """Submit a one-page read; returns its queue/completion timing."""
 
     @abc.abstractmethod
-    def submit_write(
-        self, key: object, now: int, core: int, server: int | None = None
-    ) -> Submission:
+    def submit_write(self, key: object, now: int, core: int) -> Submission:
         """Submit a one-page write-out; returns its timing."""
-
-    def resolve_server(self, key: object) -> int | None:
-        """Which remote node would serve *key* right now, if known.
-
-        The data path resolves a page's :class:`PageLocation` to a
-        server *before* dispatch so the submission can be charged to
-        that server's queue pair.  Single-device and flat-fabric
-        backends return None.
-        """
-        return None
 
     @abc.abstractmethod
     def placement_of(self, key: object) -> int | None:
         """Backing-store offset of *key* in page units, if placed."""
+
+    def is_placed(self, key: object) -> bool:
+        """Whether *key* has a backing-store copy (``placement_of`` is set)."""
+        return self.placement_of(key) is not None
 
     @abc.abstractmethod
     def key_at_offset(self, offset: int) -> object | None:
@@ -89,17 +74,13 @@ class DiskBackend(IOBackend):
         self.swap_map = swap_map if swap_map is not None else SwapSlotAllocator()
         self._device_queue = DispatchQueue(core=0)
 
-    def submit_read(
-        self, key: object, now: int, core: int, server: int | None = None
-    ) -> Submission:
+    def submit_read(self, key: object, now: int, core: int) -> Submission:
         slot = self.swap_map.assign(key)
         service = self.medium.read_page(slot)
         # The whole transfer occupies the device; nothing is pipelined.
         return self._device_queue.submit(now, service_ns=service, fabric_ns=0)
 
-    def submit_write(
-        self, key: object, now: int, core: int, server: int | None = None
-    ) -> Submission:
+    def submit_write(self, key: object, now: int, core: int) -> Submission:
         # Swap clustering: every write-out lands at the allocation
         # frontier, so reclaim batches hit the device sequentially.
         slot = self.swap_map.reassign_at_frontier(key)
@@ -127,18 +108,11 @@ class RemoteBackend(IOBackend):
         self.agent = agent
         self.name = "remote"
 
-    def submit_read(
-        self, key: object, now: int, core: int, server: int | None = None
-    ) -> Submission:
-        return self.agent.read_page(key, now, core, server=server)
+    def submit_read(self, key: object, now: int, core: int) -> Submission:
+        return self.agent.read_page(key, now, core)
 
-    def submit_write(
-        self, key: object, now: int, core: int, server: int | None = None
-    ) -> Submission:
-        return self.agent.write_page(key, now, core, server=server)
-
-    def resolve_server(self, key: object) -> int | None:
-        return self.agent.resolve_server(key)
+    def submit_write(self, key: object, now: int, core: int) -> Submission:
+        return self.agent.write_page(key, now, core)
 
     def release(self, key: object) -> bool:
         return self.agent.release_page(key)
@@ -148,6 +122,9 @@ class RemoteBackend(IOBackend):
         if location is None:
             return None
         return location.global_offset(self.agent.allocator.slab_capacity_pages)
+
+    def is_placed(self, key: object) -> bool:
+        return self.agent.allocator.location_of(key) is not None
 
     def key_at_offset(self, offset: int) -> object | None:
         return self.agent.allocator.key_at(offset)

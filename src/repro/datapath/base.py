@@ -77,13 +77,7 @@ class DataPath(abc.ABC):
 
     def _run_read(self, key: object, now: int, core: int, sample: StageSample) -> ReadTiming:
         software = sample.total_ns
-        backend = self.backend
-        # Resolve the page's location to a serving node before dispatch
-        # so the submission is charged to that server's queue pair (a
-        # flat backend resolves to None and keeps its single fabric).
-        submission = backend.submit_read(
-            key, now + software, core, server=backend.resolve_server(key)
-        )
+        submission = self.backend.submit_read(key, now + software, core)
         return ReadTiming(
             software_ns=software,
             queueing_delay_ns=submission.queueing_delay,
@@ -123,20 +117,11 @@ class DataPath(abc.ABC):
         self.async_reads += len(keys)
         software = self.stages.sample_read().total_ns
         submit_at = now + software
-        backend = self.backend
-        return [
-            backend.submit_read(
-                key, submit_at, core, server=backend.resolve_server(key)
-            ).completed
-            for key in keys
-        ]
+        submit_read = self.backend.submit_read
+        return [submit_read(key, submit_at, core).completed for key in keys]
 
     def async_write(self, key: object, now: int, core: int = 0) -> int:
         """Non-blocking page write-out; returns the completion time."""
         self.async_writes += 1
         sample = self.stages.sample_write()
-        backend = self.backend
-        submission = backend.submit_write(
-            key, now + sample.total_ns, core, server=backend.resolve_server(key)
-        )
-        return submission.completed
+        return self.backend.submit_write(key, now + sample.total_ns, core).completed

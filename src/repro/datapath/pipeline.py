@@ -45,7 +45,8 @@ fault path, so a fixed seed reproduces bit-identical results.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 from repro.datapath.stages import CACHE_LOOKUP_NS
 from repro.mem.page import Page, PageFlags, PageKey
@@ -75,10 +76,6 @@ __all__ = [
 MAP_COST_NS = 100
 
 
-class _PrefetchPressure(Exception):
-    """Internal signal: no cache room left for this prefetch round."""
-
-
 class AccessKind(enum.Enum):
     """How an access was served."""
 
@@ -103,14 +100,19 @@ FAULT_KINDS = (
 PREFETCH_HIT_KINDS = (AccessKind.CACHE_HIT, AccessKind.CACHE_HIT_INFLIGHT)
 
 
-@dataclass(frozen=True, slots=True)
-class AccessOutcome:
-    """Result of one page access."""
+class AccessOutcome(NamedTuple):
+    """Result of one page access (a named tuple: one is built per fault)."""
 
     kind: AccessKind
     latency_ns: int
     key: PageKey
     served_by_prefetch: bool = False
+
+
+#: ``_outcome((kind, latency_ns, key, served_by_prefetch))`` builds an
+#: :class:`AccessOutcome` (one per fault) without the named tuple's
+#: generated, Python-level ``__new__``.
+_outcome = partial(tuple.__new__, AccessOutcome)
 
 
 class FaultPipeline:
@@ -178,15 +180,19 @@ class FaultPipeline:
             vmm.metrics.record_minor_fault()
             if vmm.tracer.enabled:
                 vmm.tracer.span(FAULT_MINOR, core_track(process.core), now, latency)
-            return vmm._record(AccessOutcome(AccessKind.MINOR_FAULT, latency, key))
+            return _outcome((AccessKind.MINOR_FAULT, latency, key, False))
 
         # Stage 2: cache lookup.
         vmm.metrics.record_fault()
         entry = vmm.cache.lookup(key, now)
-        vmm.prefetcher.on_fault(key, now, cache_hit=entry is not None)
+        vmm.prefetcher.on_fault(key, now, entry is not None)
         if entry is not None:
-            return self._serve_cached(process, entry, key, vpn, now, is_write)
-        return self._serve_miss(process, key, vpn, now, is_write)
+            outcome = self._serve_cached(process, entry, key, vpn, now, is_write)
+        else:
+            outcome = self._serve_miss(process, key, vpn, now, is_write)
+        if vmm.recorder is not None:
+            vmm.recorder.record(outcome.kind.value, outcome.latency_ns)
+        return outcome
 
     def _serve_cached(
         self, process, entry, key: PageKey, vpn: int, now: int, is_write: bool
@@ -236,9 +242,7 @@ class FaultPipeline:
         if was_prefetched:
             self.deliver_hit(key, now)
         self.cq.drain(now)
-        return vmm._record(
-            AccessOutcome(kind, latency, key, served_by_prefetch=was_prefetched)
-        )
+        return _outcome((kind, latency, key, was_prefetched))
 
     def _serve_miss(
         self, process, key: PageKey, vpn: int, now: int, is_write: bool
@@ -278,7 +282,7 @@ class FaultPipeline:
         if vmm.data_path.backend.release(key):
             process.slot_releases += 1
         self.cq.drain(now)
-        return vmm._record(AccessOutcome(AccessKind.MAJOR_FAULT, latency, key))
+        return _outcome((AccessKind.MAJOR_FAULT, latency, key, False))
 
     # -- stage 4: complete ---------------------------------------------------
     def deliver_hit(self, key: PageKey, now: int) -> None:
@@ -290,30 +294,6 @@ class FaultPipeline:
         vmm.metrics.record_hit(key, now)
 
     # -- stage 3: issue ------------------------------------------------------
-    def _admit_prefetch(self, candidate: PageKey, accepted: list[PageKey], now: int):
-        """Validate one prefetch candidate and charge its cache page.
-
-        Returns the owning process when the candidate should be read,
-        None to skip it, and raises :class:`_PrefetchPressure` (caught
-        by the issue loop) under genuine memory pressure.
-        """
-        vmm = self.vmm
-        cpid, cvpn = candidate
-        target = vmm._processes.get(cpid)
-        if target is None:
-            return None
-        if not 0 <= cvpn < target.address_space_pages:
-            return None
-        if cvpn not in target.materialized:
-            return None  # no backing copy exists yet
-        if target.page_table.is_resident(cvpn):
-            return None
-        if candidate in vmm.cache or candidate in accepted:
-            return None
-        if not vmm._reserve_cache_page(target, now):
-            raise _PrefetchPressure  # stop prefetching this round
-        return target
-
     def _insert_prefetched(self, candidate, target, now: int, arrival: int, core: int) -> None:
         vmm = self.vmm
         page = Page(key=candidate, arrival_time=arrival, issued_time=now)
@@ -329,6 +309,8 @@ class FaultPipeline:
         batching = vmm.batch_prefetch and vmm.data_path.supports_batching
         depth_limit = self.cq.depth_limit
         core = process.core
+        processes = vmm._processes
+        cache = vmm.cache
         accepted: list[PageKey] = []
         targets: list = []
         for candidate in vmm.prefetcher.candidates(key, now):
@@ -341,12 +323,22 @@ class FaultPipeline:
                     if vmm.tracer.enabled:
                         vmm.tracer.instant(CQ_BACKPRESSURE, core_track(core), now)
                     break
-            try:
-                target = self._admit_prefetch(candidate, accepted, now)
-            except _PrefetchPressure:
-                break
-            if target is None:
+            # Admission: skip candidates of unknown processes, outside
+            # the address space, never materialized (no backing copy
+            # exists yet), resident, or already cached or accepted.
+            cpid, cvpn = candidate
+            target = processes.get(cpid)
+            if (
+                target is None
+                or not 0 <= cvpn < target.address_space_pages
+                or cvpn not in target.materialized
+                or target.page_table.is_resident(cvpn)
+                or candidate in cache
+                or candidate in accepted
+            ):
                 continue
+            if not vmm._reserve_cache_page(target, now):
+                break  # genuine memory pressure: stop prefetching this round
             if batching:
                 # Collect the window; one submission sweep at the end.
                 accepted.append(candidate)

@@ -5,11 +5,16 @@ Two entry points, both bit-exact against the object engine:
 * :func:`step_burst_columnar` — the vectorized implementation of
   :meth:`~repro.sim.process.ProcessDriver.step_burst` for drivers fed
   by a :class:`~repro.kernel.columnar.ColumnarCursor`.  It classifies a
-  lookahead of upcoming accesses with one residency-mask gather, bulk
-  applies whole resident runs (collapsed LRU references, deduplicated
-  dirty bits, one clock jump), and drops to the staged
-  :class:`~repro.datapath.pipeline.FaultPipeline` — the oracle — for
-  every access that is not provably resident.
+  lookahead of upcoming accesses with one residency-mask gather and
+  bulk applies whole resident runs (collapsed LRU references,
+  deduplicated dirty bits, one clock jump).  When the gather finds no
+  leading resident access it runs a *scalar stretch*: a bounded chunk
+  of the tail goes through the object engine's own per-access loop
+  (:meth:`~repro.sim.process.ProcessDriver.run_scalar`, which sends
+  every non-resident access to the staged
+  :class:`~repro.datapath.pipeline.FaultPipeline`), until a streak of
+  resident accesses makes a bulk run likely again.  Fault-dense
+  tenants thus pay one gather per streak, not one per fault.
 
 * :class:`ConcurrentResidentWindow` — the cross-driver analogue for the
   concurrent scheduler, where think-time lockstep makes individual
@@ -22,6 +27,9 @@ Two entry points, both bit-exact against the object engine:
 
 Why this is exact (the full argument lives in ``docs/kernel.md``):
 
+* a scalar stretch *is* the object engine's loop over the same
+  accesses, with the same stop checks before each access after the
+  first, and the cursor advances only over accesses it executed;
 * residency only changes on a process's own fault/evict/resize path,
   so a mask gather taken before a resident run cannot go stale inside
   the run, and a stale *non-resident* reading is harmless — the access
@@ -40,7 +48,7 @@ import heapq
 
 import numpy as np
 
-from repro.datapath.pipeline import FAULT_KINDS, AccessKind
+from repro.datapath.pipeline import AccessKind
 from repro.obs.names import KERNEL_RESIDENT_RUN, KERNEL_WINDOW, core_track
 
 __all__ = [
@@ -49,11 +57,19 @@ __all__ = [
     "ConcurrentResidentWindow",
 ]
 
-#: Adaptive per-driver classification lookahead bounds: shrink toward
-#: the floor in fault-dense stretches (don't gather pages we won't
-#: use), grow toward the ceiling through long resident runs.
+#: Adaptive classification lookahead bounds: a gather whose run fills
+#: the lookahead doubles it (long resident runs), one whose run fills
+#: under a quarter of it halves it (don't gather pages we won't use).
 MIN_LOOKAHEAD = 32
 MAX_LOOKAHEAD = 8192
+#: Scalar-stretch chunk bounds: a stretch starts by converting this
+#: many accesses of the cursor tail to Python lists, doubling up to
+#: the ceiling while consecutive stretches use their chunk up.
+STRETCH_MIN_CHUNK = 16
+STRETCH_MAX_CHUNK = 1024
+#: Resident accesses in a row that end a scalar stretch: a run is then
+#: likely again, and the next gather can bulk-apply it.
+STRETCH_EXIT_STREAK = 8
 #: A cross-driver window only pays for its gathers above this many
 #: bulk-executable accesses; smaller opportunities fall through to the
 #: ordinary scalar pops.
@@ -140,9 +156,10 @@ def step_burst_columnar(
     Stop semantics are identical to the object loop: the first access
     of a burst is unconditional, and before every later access the
     driver checks *events_at*, heap order against ``(stop_time,
-    stop_index)``, and *budget* — here evaluated for whole resident
-    runs at once with two ``searchsorted`` calls over the cumulative
-    think-time clock instead of per access.
+    stop_index)``, and *budget* — evaluated for whole resident runs at
+    once with two ``searchsorted`` calls over the cumulative think-time
+    clock, and per access inside a scalar stretch, where the object
+    loop (:meth:`ProcessDriver.run_scalar`) checks them itself.
     """
     if driver.done:
         return 0
@@ -161,14 +178,11 @@ def step_burst_columnar(
         )
     page_table, resident_lru, mask = state
     cursor = driver.cursor
-    kind_counts = driver.kind_counts
-    fault_latencies = driver.fault_latencies
-    pipeline_access = pipeline.access
-    pid = driver.pid
     lookahead = driver._lookahead
     tracer = vmm.tracer
     executed = 0
     resident_total = 0
+    stretch = 0
     while True:
         if executed:
             t = clock.now
@@ -184,25 +198,42 @@ def step_burst_columnar(
             driver.finished_ns = clock.now
             break
         vpns, writes, thinks = cursor.tail()
-        look = lookahead if lookahead < len(vpns) else len(vpns)
-        run = leading_resident(mask, vpns[:look])
-        if run == 0:
-            # Not provably resident: one scalar access through the
-            # oracle pipeline (which re-classifies, so a conservative
-            # miss here can never change the outcome).
-            now = clock.advance(int(thinks[0]))
-            outcome = pipeline_access(pid, int(vpns[0]), now, bool(writes[0]))
-            latency = outcome.latency_ns
-            clock.advance(latency)
-            kind_counts[outcome.kind] += 1
-            driver.total_fault_latency_ns += latency
-            if outcome.kind in FAULT_KINDS:
-                fault_latencies.append(latency)
-            driver.accesses += 1
-            executed += 1
-            cursor.advance(1)
-            if lookahead > MIN_LOOKAHEAD:
+        if stretch:
+            run = 0
+        else:
+            look = lookahead if lookahead < len(vpns) else len(vpns)
+            run = leading_resident(mask, vpns[:look])
+            if run == look and lookahead < MAX_LOOKAHEAD:
+                lookahead <<= 1
+            elif run < (look >> 2) and lookahead > MIN_LOOKAHEAD:
                 lookahead >>= 1
+        if run == 0:
+            # Not provably resident: a scalar stretch.  The next chunk
+            # of the tail runs through the object engine's per-access
+            # loop (the oracle itself), until a streak of resident
+            # accesses says a bulk run is likely again; a chunk used up
+            # without one doubles the next and skips the gather.
+            chunk = stretch or STRETCH_MIN_CHUNK
+            if chunk > len(vpns):
+                chunk = len(vpns)
+            before = executed
+            executed, used_up = driver.run_scalar(
+                pipeline,
+                zip(
+                    vpns[:chunk].tolist(),
+                    writes[:chunk].tolist(),
+                    thinks[:chunk].tolist(),
+                ),
+                executed,
+                index,
+                stop_time,
+                stop_index,
+                events_at,
+                budget,
+                STRETCH_EXIT_STREAK,
+            )
+            cursor.advance(executed - before)
+            stretch = min(chunk << 1, STRETCH_MAX_CHUNK) if used_up else 0
             continue
         cum = clock.now + np.cumsum(thinks[:run])
         n = run
@@ -225,7 +256,7 @@ def step_burst_columnar(
         if tracer.enabled:
             tracer.span(
                 KERNEL_RESIDENT_RUN,
-                core_track(pipeline.process(pid).core),
+                core_track(pipeline.process(driver.pid).core),
                 clock.now,
                 end - clock.now,
             )
@@ -234,11 +265,9 @@ def step_burst_columnar(
         driver.accesses += n
         executed += n
         cursor.advance(n)
-        if run == look and lookahead < MAX_LOOKAHEAD:
-            lookahead <<= 1
     driver._lookahead = lookahead
     if resident_total:
-        kind_counts[AccessKind.RESIDENT] += resident_total
+        driver.kind_counts[AccessKind.RESIDENT] += resident_total
     return executed
 
 

@@ -15,7 +15,6 @@ Two structures live here:
 
 from __future__ import annotations
 
-import math
 from typing import Generic, Hashable, Iterator, Optional, TypeVar
 
 K = TypeVar("K", bound=Hashable)
@@ -111,23 +110,26 @@ class ActiveInactiveLRU(Generic[K, V]):
         self._inactive: LRUList[K, V] = LRUList()
 
     def __len__(self) -> int:
-        return len(self._active) + len(self._inactive)
+        return len(self._active._entries) + len(self._inactive._entries)
 
     def __contains__(self, key: K) -> bool:
         return key in self._active or key in self._inactive
 
     @property
     def active_count(self) -> int:
-        return len(self._active)
+        return len(self._active._entries)
 
     @property
     def inactive_count(self) -> int:
-        return len(self._inactive)
+        return len(self._inactive._entries)
 
     def add(self, key: K, value: V) -> None:
         """Insert a new page on the inactive list (cold entry)."""
-        self._active.remove(key)
-        self._inactive.add(key, value)
+        self._active._entries.pop(key, None)
+        inactive = self._inactive._entries
+        if key in inactive:
+            del inactive[key]
+        inactive[key] = value
 
     def get(self, key: K) -> Optional[V]:
         value = self._inactive.get(key)
@@ -136,12 +138,20 @@ class ActiveInactiveLRU(Generic[K, V]):
         return self._active.get(key)
 
     def reference(self, key: K) -> bool:
-        """Record a use of *key*; inactive pages are promoted to active."""
-        value = self._inactive.pop(key, _MISSING)  # type: ignore[arg-type]
-        if value is not _MISSING:
-            self._active.add(key, value)  # type: ignore[arg-type]
-            return True
-        return self._active.touch(key)
+        """Record a use of *key*; inactive pages are promoted to active.
+
+        The list operations are inlined onto the underlying dicts (a
+        key is never on both lists): this runs on every resident access
+        of the per-access loop.
+        """
+        active = self._active._entries
+        value = self._inactive._entries.pop(key, _MISSING)
+        if value is _MISSING:
+            value = active.pop(key, _MISSING)
+            if value is _MISSING:
+                return False
+        active[key] = value
+        return True
 
     def reference_bulk(self, keys_last_use_order: list[K]) -> None:
         """Apply a run of :meth:`reference` calls collapsed to one per key.
@@ -174,15 +184,18 @@ class ActiveInactiveLRU(Generic[K, V]):
         return self._active.remove(key)
 
     def _rebalance(self) -> None:
-        """Demote active pages until the inactive share is restored."""
-        total = len(self)
-        needed = math.ceil(total * self.inactive_ratio)
-        while total and len(self._inactive) < needed:
-            demoted = self._active.pop_lru()
-            if demoted is None:
-                break
-            key, value = demoted
-            self._inactive.add(key, value)
+        """Demote active pages until the inactive share is restored.
+
+        The inactive list must hold ``ceil(total * inactive_ratio)``
+        pages; for an integer count ``n``, ``n < ceil(x)`` exactly when
+        ``n < x``, so the float product is compared directly.
+        """
+        inactive = self._inactive._entries
+        active = self._active._entries
+        needed = (len(inactive) + len(active)) * self.inactive_ratio
+        while len(inactive) < needed and active:
+            key = next(iter(active))
+            inactive[key] = active.pop(key)
 
     def scan_inactive(self, max_scan: int) -> list[tuple[K, V]]:
         """Take up to *max_scan* eviction candidates from the cold tail.
@@ -195,12 +208,11 @@ class ActiveInactiveLRU(Generic[K, V]):
         if max_scan <= 0:
             return []
         self._rebalance()
+        inactive = self._inactive._entries
         victims: list[tuple[K, V]] = []
-        while len(victims) < max_scan:
-            entry = self._inactive.pop_lru()
-            if entry is None:
-                break
-            victims.append(entry)
+        while inactive and len(victims) < max_scan:
+            key = next(iter(inactive))
+            victims.append((key, inactive.pop(key)))
         return victims
 
     def keys_eviction_order(self) -> list[K]:

@@ -12,7 +12,7 @@ eviction order; here we only carry the identity and bookkeeping bits.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.units import PAGE_SIZE
 
@@ -45,6 +45,12 @@ class PageFlags(enum.Flag):
     REFERENCED = enum.auto()
 
 
+#: Plain-int bits of the flags the hot paths test (a Page stores its
+#: flags as an int, so no ``enum.Flag`` arithmetic runs per fault).
+_DIRTY = PageFlags.DIRTY.value
+_PREFETCHED = PageFlags.PREFETCHED.value
+
+
 @dataclass(slots=True)
 class Page:
     """Bookkeeping record for one in-memory (or in-flight) page.
@@ -52,14 +58,14 @@ class Page:
     ``arrival_time`` is when the page's contents became (or will
     become) available in local memory; a prefetched page that has been
     *issued* but not yet *arrived* has ``arrival_time`` in the future.
+    ``flags`` holds the :class:`PageFlags` bits as a plain int.
     """
 
     key: PageKey
-    flags: PageFlags = PageFlags.NONE
+    flags: int = 0
     arrival_time: int = 0
     issued_time: int = 0
     last_access_time: int = 0
-    flags_history: int = field(default=0, repr=False)
 
     @property
     def pid(self) -> int:
@@ -70,22 +76,21 @@ class Page:
         return self.key[1]
 
     def set_flag(self, flag: PageFlags) -> None:
-        self.flags |= flag
-        self.flags_history |= flag.value
+        self.flags |= flag._value_
 
     def clear_flag(self, flag: PageFlags) -> None:
-        self.flags &= ~flag
+        self.flags &= ~flag._value_
 
     def has_flag(self, flag: PageFlags) -> bool:
-        return bool(self.flags & flag)
+        return bool(self.flags & flag._value_)
 
     @property
     def dirty(self) -> bool:
-        return self.has_flag(PageFlags.DIRTY)
+        return bool(self.flags & _DIRTY)
 
     @property
     def prefetched(self) -> bool:
-        return self.has_flag(PageFlags.PREFETCHED)
+        return bool(self.flags & _PREFETCHED)
 
     def is_ready(self, now: int) -> bool:
         """True when the page's contents have landed in local memory."""

@@ -136,9 +136,12 @@ class PageCache:
             entry.consumed_at = now
             self._consumed_count += 1
         entry.page.set_flag(PageFlags.REFERENCED)
-        self.lru.reference(key)
         if self.policy.free_on_consume:
+            # Freed right away: the LRU reference would be undone by
+            # the removal in _free, so it is skipped.
             self._free(key, now)
+        else:
+            self.lru.reference(key)
         return entry
 
     def _free(self, key: PageKey, now: int) -> CacheEntry:

@@ -261,11 +261,7 @@ class VirtualMemoryManager:
             return False
         resident_floor = max(4, process.cgroup.limit_pages // 8)
         while not process.cgroup.can_charge(1):
-            resident = (
-                process.resident_lru.inactive_count
-                + process.resident_lru.active_count
-            )
-            if resident > resident_floor:
+            if len(process.resident_lru) > resident_floor:
                 self._evict_one(process, now)
             elif not self._drop_own_cache_page(process, now):
                 return False
@@ -279,7 +275,7 @@ class VirtualMemoryManager:
             raise RuntimeError(
                 f"pid {process.pid}: cgroup full but no resident page to evict"
             )
-        vpn, _ = victims[0]
+        vpn = victims[0][0]
         entry = process.page_table.unmap_page(vpn)
         process.cgroup.uncharge(1)
         process.evictions += 1
@@ -289,32 +285,24 @@ class VirtualMemoryManager:
         # consumed entry must not serve a phantom hit after eviction.
         if key in self.cache:
             self.cache.drop(key, now)
-        never_placed = self.data_path.backend.placement_of(key) is None
-        if entry.dirty or never_placed:
-            self.data_path.async_write(key, now, process.core)
+        data_path = self.data_path
+        if entry.dirty or not data_path.backend.is_placed(key):
+            data_path.async_write(key, now, process.core)
             process.writebacks += 1
 
     def _map_page(self, process: ProcessMemory, vpn: int, now: int, dirty: bool) -> None:
-        while not process.cgroup.can_charge(1):
-            resident = (
-                process.resident_lru.inactive_count
-                + process.resident_lru.active_count
-            )
-            if resident:
+        cgroup = process.cgroup
+        while not cgroup.can_charge(1):
+            if len(process.resident_lru):
                 self._evict_one(process, now)
             elif not self._drop_own_cache_page(process, now, include_inflight=True):
                 raise RuntimeError(
                     f"pid {process.pid}: cgroup full with nothing reclaimable"
                 )
-        process.cgroup.charge(1)
+        cgroup.charge(1)
         self._next_frame += 1
         process.page_table.map_page(vpn, frame=self._next_frame, now=now, dirty=dirty)
         process.resident_lru.add(vpn, None)
-
-    def _record(self, outcome: AccessOutcome) -> AccessOutcome:
-        if self.recorder is not None and outcome.kind in FAULT_KINDS:
-            self.recorder.record(outcome.kind.value, outcome.latency_ns)
-        return outcome
 
     # -- the fault path -------------------------------------------------------
     def access(self, pid: int, vpn: int, now: int, is_write: bool = False) -> AccessOutcome:

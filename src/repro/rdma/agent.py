@@ -164,63 +164,32 @@ class HostAgent:
             f"and no live replica"
         )
 
-    def resolve_server(self, key: object) -> int | None:
-        """Pre-dispatch resolution of *key*'s serving machine.
-
-        The flat host agent resolves internally (all machines share one
-        latency model), so it returns None and the data path skips the
-        lookup; the cluster agent returns the live server so dispatch
-        can charge that server's queue pair.
-        """
-        return None
-
     def release_page(self, key: object) -> bool:
         """The page faulted back in; reclaim its remote slot for reuse."""
         return self.allocator.release(key)
 
-    def read_page(
-        self, key: object, now: int, core: int = 0, server: int | None = None
-    ) -> Submission:
-        """One-sided RDMA read of *key*'s page; returns queue timings.
-
-        *server* is an optional pre-resolved target (see
-        :meth:`resolve_server`); the flat agent ignores it.
-        """
-        location = self.place_page(key)
-        slab = self.allocator.slab_of(location)
+    def read_page(self, key: object, now: int, core: int = 0) -> Submission:
+        """One-sided RDMA read of *key*'s page; returns queue timings."""
+        slab = self.allocator.slab_of(self.place_page(key))
         self._readable_machine(slab)  # raises if the page is lost
         self.reads += 1
+        fabric = self.fabric
         return self._queue_for(core).submit(
-            now,
-            service_ns=self.fabric.service_time_ns(),
-            fabric_ns=self.fabric.fabric_latency_ns(),
+            now, fabric.service_time_ns(), fabric.fabric_latency_ns()
         )
 
-    def write_page(
-        self, key: object, now: int, core: int = 0, server: int | None = None
-    ) -> Submission:
+    def write_page(self, key: object, now: int, core: int = 0) -> Submission:
         """RDMA write of *key*'s page to its slab (and replica if any)."""
-        location = self.place_page(key)
-        slab = self.allocator.slab_of(location)
+        slab = self.allocator.slab_of(self.place_page(key))
         self.writes += 1
+        fabric = self.fabric
+        service = fabric.service_time_ns()
         queue = self._queue_for(core)
-        submission = queue.submit(
-            now,
-            service_ns=self.fabric.service_time_ns(),
-            fabric_ns=self.fabric.fabric_latency_ns(),
-        )
+        submission = queue.submit(now, service, fabric.fabric_latency_ns())
         if self.replication and slab.replica_machine_id is not None:
-            replica_sub = queue.submit(
-                submission.submitted,
-                service_ns=self.fabric.service_time_ns(),
-                fabric_ns=self.fabric.fabric_latency_ns(),
-            )
+            replica_sub = queue.submit(now, service, fabric.fabric_latency_ns())
             if replica_sub.completed > submission.completed:
-                submission = Submission(
-                    submitted=submission.submitted,
-                    started=submission.started,
-                    completed=replica_sub.completed,
-                )
+                submission = Submission(now, submission.started, replica_sub.completed)
         return submission
 
     # -- introspection -------------------------------------------------------

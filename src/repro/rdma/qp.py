@@ -8,18 +8,24 @@ models each queue as a single server: an operation submitted at time
 after the additional end-to-end *fabric latency*.  Queueing delay under
 load — the effect that makes tail latency blow up when many processes
 or write-backs share a queue — falls out of ``busy_until``.
+
+Every remote page read and write-back passes through
+:meth:`DispatchQueue.submit` (a fault-dense run submits about three
+times per access), so it is kept flat: the queue's statistics are
+updated inline and :class:`Submission` is a named tuple built straight
+from a plain tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 __all__ = ["DispatchQueue", "QueueStats", "Submission"]
 
 
-@dataclass(frozen=True, slots=True)
-class Submission:
-    """Timing of one operation through a dispatch queue."""
+class Submission(NamedTuple):
+    """Timing of one operation through a dispatch queue (immutable)."""
 
     submitted: int
     started: int
@@ -34,6 +40,12 @@ class Submission:
         return self.completed - self.submitted
 
 
+#: ``_submission((submitted, started, completed))`` builds a
+#: :class:`Submission` without the named tuple's generated, Python-level
+#: ``__new__`` (several times the cost of this C-level call).
+_submission = partial(tuple.__new__, Submission)
+
+
 class QueueStats:
     """Aggregate counters for one dispatch queue."""
 
@@ -45,13 +57,6 @@ class QueueStats:
         #: found in front of it — the queue-depth signal the fault
         #: pipeline's completion queues summarize per core.
         self.peak_backlog_ns = 0
-
-    def record(self, submission: Submission) -> None:
-        self.operations += 1
-        self.total_queueing_delay += submission.queueing_delay
-        self.max_queueing_delay = max(
-            self.max_queueing_delay, submission.queueing_delay
-        )
 
     @property
     def mean_queueing_delay(self) -> float:
@@ -78,15 +83,18 @@ class DispatchQueue:
         """
         if service_ns < 0 or fabric_ns < 0:
             raise ValueError("service and fabric times must be non-negative")
+        stats = self.stats
+        stats.operations += 1
         backlog = self.busy_until - now
-        if backlog > self.stats.peak_backlog_ns:
-            self.stats.peak_backlog_ns = backlog
-        started = max(now, self.busy_until)
+        if backlog > 0:
+            # Queued behind earlier work: the backlog is the delay.
+            if backlog > stats.peak_backlog_ns:
+                stats.peak_backlog_ns = backlog
+            if backlog > stats.max_queueing_delay:
+                stats.max_queueing_delay = backlog
+            stats.total_queueing_delay += backlog
+            started = self.busy_until
+        else:
+            started = now
         self.busy_until = started + service_ns
-        submission = Submission(
-            submitted=now,
-            started=started,
-            completed=started + service_ns + fabric_ns,
-        )
-        self.stats.record(submission)
-        return submission
+        return _submission((now, started, started + service_ns + fabric_ns))

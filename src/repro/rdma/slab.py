@@ -18,12 +18,12 @@ run would leak remote capacity one slab at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 __all__ = ["Slab", "PageLocation", "SlabAllocator"]
 
-
-@dataclass(frozen=True, slots=True)
-class PageLocation:
+class PageLocation(NamedTuple):
     """Where one page lives remotely: a slab and a slot within it."""
 
     slab_id: int
@@ -32,6 +32,12 @@ class PageLocation:
     def global_offset(self, slab_capacity: int) -> int:
         """Page-granular offset in the host's remote address space."""
         return self.slab_id * slab_capacity + self.slot
+
+
+#: ``_location((slab_id, slot))`` builds a :class:`PageLocation` (one per
+#: placement) without the named tuple's generated, Python-level
+#: ``__new__``.
+_location = partial(tuple.__new__, PageLocation)
 
 
 @dataclass(slots=True)
@@ -138,14 +144,14 @@ class SlabAllocator:
             slot = slab.allocate_slot(key)
             if not slab.free_slots:
                 del self._reusable[slab_id]
-            location = PageLocation(slab_id=slab_id, slot=slot)
+            location = _location((slab_id, slot))
             self._locations[key] = location
             self.reused_slots += 1
             return location
         if self._open_slab is None or self._open_slab.is_full:
             raise RuntimeError("no open slab; call open_slab() first")
         slot = self._open_slab.allocate_slot(key)
-        location = PageLocation(slab_id=self._open_slab.slab_id, slot=slot)
+        location = _location((self._open_slab.slab_id, slot))
         self._locations[key] = location
         return location
 

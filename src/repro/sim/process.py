@@ -12,6 +12,7 @@ the driver whose clock is furthest behind, so shared infrastructure
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 from repro.mem.vmm import FAULT_KINDS, AccessKind, VirtualMemoryManager
@@ -27,6 +28,11 @@ class PageAccess:
     vpn: int
     is_write: bool = False
     think_ns: int = 0
+
+
+#: A :class:`PageAccess` as the ``(vpn, is_write, think_ns)`` triple
+#: :meth:`ProcessDriver.run_scalar` consumes.
+_ACCESS_FIELDS = attrgetter("vpn", "is_write", "think_ns")
 
 
 class ProcessDriver:
@@ -144,6 +150,45 @@ class ProcessDriver:
             return 0
         pipeline = vmm.pipeline
         pipeline.begin_batch(self.clock.now)
+        executed, exhausted = self.run_scalar(
+            pipeline,
+            map(_ACCESS_FIELDS, self._trace),
+            0,
+            index,
+            stop_time,
+            stop_index,
+            events_at,
+            budget,
+        )
+        if exhausted:
+            self.finished_ns = self.clock.now
+        return executed
+
+    def run_scalar(
+        self,
+        pipeline,
+        accesses: Iterator[tuple[int, bool, int]],
+        executed: int,
+        index: int,
+        stop_time: int | None,
+        stop_index: int,
+        events_at: int | None,
+        budget: int | None,
+        resident_exit: int = -1,
+    ) -> tuple[int, bool]:
+        """The per-access loop shared by both engines.
+
+        Executes ``(vpn, is_write, think_ns)`` triples from *accesses*
+        until one of :meth:`step_burst`'s stop conditions holds after an
+        access (*executed* counts the accesses the burst has already
+        run), the iterator runs out, or *resident_exit* resident
+        accesses have run back to back (the vectorized kernel's cue
+        that a bulk resident run is likely again; the default -1 never
+        fires).  Resident hits take a short inline path with the
+        pipeline's classify-stage bookkeeping; everything else goes
+        through :meth:`FaultPipeline.access`.  Returns the updated
+        *executed* and whether *accesses* ran out.
+        """
         state = self._burst_state
         if state is None:
             process = pipeline.process(self.pid)
@@ -155,55 +200,57 @@ class ProcessDriver:
             )
         page_table, is_resident, reference, address_space = state
         clock = self.clock
-        trace = self._trace
         kind_counts = self.kind_counts
         fault_latencies = self.fault_latencies
         pipeline_access = pipeline.access
         pid = self.pid
         fault_kinds = FAULT_KINDS
-        executed = 0
+        started = executed
         resident_hits = 0
+        streak = 0
+        exhausted = False
         try:
-            while True:
-                if executed:
-                    t = clock.now
-                    if events_at is not None and t >= events_at:
-                        break
-                    if stop_time is not None and (
-                        t > stop_time or (t == stop_time and index >= stop_index)
-                    ):
-                        break
-                    if budget is not None and executed >= budget:
-                        break
-                access = next(trace, None)
-                if access is None:
-                    self.finished_ns = clock.now
-                    break
-                now = clock.advance(access.think_ns)
-                vpn = access.vpn
+            for vpn, is_write, think_ns in accesses:
+                now = clock.advance(think_ns)
                 if 0 <= vpn < address_space and is_resident(vpn):
                     # Inline resident fast path: identical bookkeeping
                     # to the pipeline's classify stage, minus the call.
                     if now >= pipeline.next_scan_due:
                         pipeline.run_scans(now)
                     reference(vpn)
-                    if access.is_write:
+                    if is_write:
                         page_table.mark_dirty(vpn)
                     resident_hits += 1
+                    streak += 1
                 else:
-                    outcome = pipeline_access(pid, vpn, now, access.is_write)
+                    outcome = pipeline_access(pid, vpn, now, is_write)
                     latency = outcome.latency_ns
-                    clock.advance(latency)
+                    now = clock.advance(latency)
                     kind_counts[outcome.kind] += 1
                     self.total_fault_latency_ns += latency
                     if outcome.kind in fault_kinds:
                         fault_latencies.append(latency)
-                self.accesses += 1
+                    streak = 0
                 executed += 1
+                # The stop conditions, checked before the next access
+                # (the first access of a burst is unconditional).
+                if events_at is not None and now >= events_at:
+                    break
+                if stop_time is not None and (
+                    now > stop_time or (now == stop_time and index >= stop_index)
+                ):
+                    break
+                if budget is not None and executed >= budget:
+                    break
+                if streak == resident_exit:
+                    break
+            else:
+                exhausted = True
         finally:
+            self.accesses += executed - started
             if resident_hits:
                 kind_counts[AccessKind.RESIDENT] += resident_hits
-        return executed
+        return executed, exhausted
 
 
 def make_driver(

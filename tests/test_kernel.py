@@ -12,7 +12,8 @@ run entry point.  These tests pin that promise at three levels:
 * whole runs — ``simulate`` / ``run_concurrent`` / ``run_cluster``
   under both engines, including the edge cases that stress the
   kernel's stop bounds (cgroup resize timelines, server failures,
-  QP backpressure, epochs, access budgets, zero-length bursts).
+  QP backpressure, epochs, access budgets, zero-length bursts), and
+  stop points that fall inside a fault-dense scalar stretch.
 
 The seeded million-access smoke at the bottom is nightly-only: set
 ``REPRO_NIGHTLY=1`` (the nightly workflow does) to run it.
@@ -21,6 +22,7 @@ The seeded million-access smoke at the bottom is nightly-only: set
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
 
 import numpy as np
@@ -29,11 +31,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import FailureEvent
+from repro.datapath.pipeline import AccessKind
 from repro.kernel import AccessBlock, ColumnarCursor, pack_blocks
+from repro.kernel.vectorized import STRETCH_EXIT_STREAK
 from repro.mem.lru import ActiveInactiveLRU
 from repro.sim.machine import Machine, cluster_config, leap_config
 from repro.sim.process import PageAccess, ProcessDriver, make_driver
 from repro.sim.rng import SimRandom
+from repro.sim.run import setup_processes
 from repro.sim.simulate import simulate
 from repro.workloads.base import Workload
 from repro.workloads.patterns import (
@@ -463,6 +468,182 @@ class TestKernelEdgeCases:
 
         obj, vec = run_both(build)
         assert obj == vec
+
+
+def sequential_then_random(wss_pages: int, accesses: int, seed: int) -> PhasedWorkload:
+    """A fault-dense tenant at low memory: a sweep, then uniform random."""
+    return PhasedWorkload(
+        wss_pages=wss_pages,
+        total_accesses=accesses,
+        phases=[{"kind": "sequential"}, {"kind": "random"}],
+        seed=seed,
+        write_fraction=0.3,
+    )
+
+
+@pytest.fixture
+def stretch_stops(monkeypatch):
+    """Scalar stretches of the vectorized kernel cut by a stop condition.
+
+    Wraps :meth:`ProcessDriver.run_scalar` and records, for every call
+    the kernel makes (``resident_exit`` set), which stop condition held
+    when the stretch returned with its chunk not used up.
+    """
+    original = ProcessDriver.run_scalar
+    stops: list[str] = []
+
+    def recording(
+        self,
+        pipeline,
+        accesses,
+        executed,
+        index,
+        stop_time,
+        stop_index,
+        events_at,
+        budget,
+        resident_exit=-1,
+    ):
+        executed, used_up = original(
+            self,
+            pipeline,
+            accesses,
+            executed,
+            index,
+            stop_time,
+            stop_index,
+            events_at,
+            budget,
+            resident_exit,
+        )
+        if resident_exit == STRETCH_EXIT_STREAK and not used_up:
+            t = self.clock.now
+            if events_at is not None and t >= events_at:
+                stops.append("events_at")
+            elif stop_time is not None and (
+                t > stop_time or (t == stop_time and index >= stop_index)
+            ):
+                stops.append("heap_order")
+            elif budget is not None and executed >= budget:
+                stops.append("budget")
+        return executed, used_up
+
+    monkeypatch.setattr(ProcessDriver, "run_scalar", recording)
+    return stops
+
+
+class TestScalarStretchStops:
+    """Stop points that fall inside a fault-dense scalar stretch.
+
+    At 25% memory a sequential->random tenant faults on most accesses,
+    so the vectorized kernel spends its time in scalar stretches; every
+    stop condition must cut a stretch on exactly the access the object
+    engine stops on.  Each test also checks that the vectorized run
+    really stopped mid-stretch for the condition under test.
+    """
+
+    def test_budget_ends_mid_stretch(self, stretch_stops):
+        def build(engine):
+            machine = Machine(leap_config(seed=5, engine=engine))
+            workload = sequential_then_random(256, 3000, seed=3)
+            start_ns = setup_processes(machine, {1: workload}, 0.25, warmup=True)
+            driver = make_driver(1, workload, start_ns=start_ns, engine=engine)
+            budgets = itertools.cycle([1, 7, 33, 2, 150, 19])
+            steps = []
+            while driver.step_burst(machine.vmm, budget=next(budgets)):
+                steps.append((driver.accesses, driver.clock.now))
+            return (
+                steps,
+                dict(driver.kind_counts),
+                driver.fault_latencies,
+                machine.metrics.as_dict(),
+            )
+
+        obj, vec = run_both(build)
+        assert obj == vec
+        assert obj[1][AccessKind.MAJOR_FAULT] > 0
+        assert stretch_stops.count("budget") > 20
+
+    def test_resize_and_epoch_mid_stretch(self, stretch_stops):
+        def build(engine):
+            machine = Machine(leap_config(seed=17, n_cores=2, engine=engine))
+            epochs = []
+            timeline = [
+                (700_000, lambda at: machine.set_memory_limit(1, 40, at)),
+                (2_300_000, lambda at: machine.set_memory_limit(1, 80, at)),
+            ]
+            result = machine.run_concurrent(
+                {
+                    1: sequential_then_random(256, 2500, seed=1),
+                    2: sequential_then_random(192, 2500, seed=2),
+                },
+                cores=2,
+                memory_fraction=0.25,
+                timeline=timeline,
+                epoch_ns=250_000,
+                on_epoch=lambda at, sched: epochs.append(at),
+            )
+            return (
+                summary_fingerprint(result),
+                machine_fingerprint(machine, [1, 2]),
+                epochs,
+            )
+
+        obj, vec = run_both(build)
+        assert obj == vec
+        assert len(obj[2]) > 4
+        assert "events_at" in stretch_stops
+
+    def test_heap_interleaving_below_working_set(self, stretch_stops):
+        # The hand-driven min-clock heap of
+        # test_heap_interleaving_matches_oracle_exactly, at a limit far
+        # below the working set, so heap-order ties cut stretches.
+        def build(engine):
+            machine = Machine(leap_config(seed=21, n_cores=2, engine=engine))
+            workloads = {
+                1: sequential_then_random(64, 600, seed=1),
+                2: sequential_then_random(64, 600, seed=2),
+            }
+            for pid, wl in workloads.items():
+                machine.add_process(pid, wss_pages=wl.wss_pages, limit_pages=12)
+            drivers = [
+                make_driver(pid, wl, engine=engine) for pid, wl in workloads.items()
+            ]
+            heap = [(d.clock.now, i, d) for i, d in enumerate(drivers)]
+            heapq.heapify(heap)
+            # Every burst must end on the same access under both
+            # engines, ties at equal clocks included.
+            bursts = []
+            while heap:
+                now, index, driver = heapq.heappop(heap)
+                stop = heap[0] if heap else None
+                running = driver.step_burst(
+                    machine.vmm,
+                    index=index,
+                    stop_time=stop[0] if stop else None,
+                    stop_index=stop[1] if stop else 0,
+                )
+                bursts.append((index, running, driver.clock.now))
+                if running:
+                    heapq.heappush(heap, (driver.clock.now, index, driver))
+            return (
+                bursts,
+                [
+                    (
+                        d.pid,
+                        d.accesses,
+                        d.clock.now,
+                        dict(d.kind_counts),
+                        d.fault_latencies,
+                    )
+                    for d in drivers
+                ],
+                machine.metrics.as_dict(),
+            )
+
+        obj, vec = run_both(build)
+        assert obj == vec
+        assert "heap_order" in stretch_stops
 
 
 @pytest.mark.nightly

@@ -120,8 +120,10 @@ class TestPageMetadata:
         assert page.dirty
         page.clear_flag(PageFlags.DIRTY)
         assert not page.dirty
-        # History remembers flags that were ever set.
-        assert page.flags_history & PageFlags.DIRTY.value
+        # Flags are stored as plain int bits of the PageFlags values.
+        page.set_flag(PageFlags.PREFETCHED)
+        assert page.flags == PageFlags.PREFETCHED.value
+        assert page.prefetched and page.has_flag(PageFlags.PREFETCHED)
 
     def test_readiness(self):
         page = Page(key=(1, 2), arrival_time=100)

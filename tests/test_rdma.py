@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.rdma.agent import HostAgent, RemoteAgent, RemotePageLostError
 from repro.rdma.network import RdmaFabric
-from repro.rdma.qp import DispatchQueue
+from repro.rdma.qp import DispatchQueue, Submission
 from repro.rdma.slab import SlabAllocator
 from repro.sim.rng import SimRandom
 from repro.sim.units import us
@@ -61,6 +61,90 @@ class TestDispatchQueue:
             assert sub.completed >= last_completed
             assert sub.started >= now
             last_completed = sub.completed
+
+
+class ScriptedFabric:
+    """A fabric with a fixed service time and scripted fabric latencies."""
+
+    def __init__(self, service_ns: int, latencies: list[int]) -> None:
+        self.service_ns = service_ns
+        self.latencies = list(latencies)
+
+    def service_time_ns(self, size_bytes: int = 4096) -> int:
+        return self.service_ns
+
+    def fabric_latency_ns(self, size_bytes: int = 4096) -> int:
+        return self.latencies.pop(0)
+
+
+class TestDispatchArithmetic:
+    """Pinned queue arithmetic: every field of every submission."""
+
+    def test_fixed_sequence(self):
+        queue = DispatchQueue(0)
+        ops = [
+            # (now, service, fabric) -> (submitted, started, completed)
+            ((1_000, 500, 3_000), (1_000, 1_000, 4_500)),  # idle queue
+            ((1_200, 500, 3_000), (1_200, 1_500, 5_000)),  # back to back
+            ((1_200, 400, 0), (1_200, 2_000, 2_400)),  # deeper backlog
+            ((10_000, 500, 100), (10_000, 10_000, 10_600)),  # after a gap
+            ((10_000, 0, 250), (10_000, 10_500, 10_750)),  # zero service
+            ((10_500, 0, 0), (10_500, 10_500, 10_500)),  # zero service, idle
+        ]
+        delays = []
+        for (now, service, fabric), expected in ops:
+            sub = queue.submit(now, service, fabric)
+            assert sub == Submission(*expected)
+            assert (sub.submitted, sub.started, sub.completed) == expected
+            assert sub.queueing_delay == expected[1] - expected[0]
+            assert sub.total_latency == expected[2] - expected[0]
+            delays.append(sub.queueing_delay)
+        assert delays == [0, 300, 800, 0, 500, 0]
+        assert queue.busy_until == 10_500
+        assert queue.stats.operations == 6
+        assert queue.stats.total_queueing_delay == 1_600
+        assert queue.stats.max_queueing_delay == 800
+        assert queue.stats.peak_backlog_ns == 800
+        assert queue.stats.mean_queueing_delay == pytest.approx(1_600 / 6)
+
+    def test_submission_is_immutable(self):
+        sub = DispatchQueue(0).submit(0, 10, 20)
+        with pytest.raises(AttributeError):
+            sub.completed = 0
+        assert sub == Submission(submitted=0, started=0, completed=30)
+        assert sub != Submission(submitted=0, started=0, completed=31)
+
+    def test_replicated_write_completes_with_the_later_copy(self):
+        # Latencies: write "a" primary 4000, replica 2000 (the primary
+        # finishes last); write "b" primary 1000, replica 3000 (the
+        # replica finishes last).
+        fabric = ScriptedFabric(600, [4_000, 2_000, 1_000, 3_000])
+        rng = SimRandom(7, "host")
+        host = HostAgent(
+            fabric,
+            [RemoteAgent(0, 1_000), RemoteAgent(1, 1_000)],
+            rng.spawn("placement"),
+            n_cores=2,
+            slab_capacity_pages=8,
+            replication=True,
+        )
+        first = host.write_page("a", now=0)
+        # Primary: starts 0, completes 600 + 4000; replica queues
+        # behind it (starts 600) and completes 1200 + 2000.
+        assert first == Submission(0, 0, 4_600)
+        second = host.write_page("b", now=100)
+        # Primary queues behind both copies of "a" (busy until 1200):
+        # completes 1800 + 1000; its replica starts 1800 and completes
+        # 2400 + 3000, which is later and sets the write's completion.
+        assert second == Submission(100, 1_200, 5_400)
+        assert host.writes == 2
+        stats = host.queues[0].stats
+        assert stats.operations == 4
+        assert stats.total_queueing_delay == 0 + 600 + 1_100 + 1_700
+        assert stats.max_queueing_delay == 1_700
+        assert stats.peak_backlog_ns == 1_700
+        assert host.queues[1].stats.operations == 0
+        assert fabric.latencies == []
 
 
 class TestFabric:

@@ -13,7 +13,6 @@ These reproduce the latency-centric early figures of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.bench.runner import BenchScale, latency_improvement, run_single
 from repro.datapath.stages import (
@@ -139,22 +138,6 @@ def _paging_row(
 # --------------------------------------------------------------------------
 # Figures 2 and 7 — file (D-VFS) rows
 # --------------------------------------------------------------------------
-def _micro_vpn_stream(pattern: str, wss_pages: int) -> Iterator[int]:
-    if pattern == "sequential":
-        position = 0
-        while True:
-            yield position
-            position = (position + 1) % wss_pages
-    else:
-        phase, position = 0, 0
-        while True:
-            yield position
-            position += 10
-            if position >= wss_pages:
-                phase = (phase + 1) % 10
-                position = phase
-
-
 def _vfs_row(system: str, pattern: str, leap: bool, scale: BenchScale) -> LatencyRow:
     config = leap_config(seed=scale.seed) if leap else infiniswap_config(seed=scale.seed)
     machine = Machine(config)
@@ -170,10 +153,8 @@ def _vfs_row(system: str, pattern: str, leap: bool, scale: BenchScale) -> Latenc
         now += latency + MICRO_THINK_NS
     machine.reset_measurements()
     samples: list[int] = []
-    stream = _micro_vpn_stream(pattern, region.size_pages)
-    for _ in range(scale.micro_accesses):
-        vpn = next(stream)
-        latency, _ = region.read(vpn * PAGE_SIZE, PAGE_SIZE, now)
+    for access in _microbench_workload(pattern, scale).accesses():
+        latency, _ = region.read(access.vpn * PAGE_SIZE, PAGE_SIZE, now)
         now += latency + MICRO_THINK_NS
         samples.append(latency)
     return LatencyRow(

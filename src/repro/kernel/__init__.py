@@ -16,12 +16,12 @@ from repro.kernel.columnar import (
     DEFAULT_BLOCK_SIZE,
     AccessBlock,
     ColumnarCursor,
-    pack_blocks,
+    reblock,
 )
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "AccessBlock",
     "ColumnarCursor",
-    "pack_blocks",
+    "reblock",
 ]

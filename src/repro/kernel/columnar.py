@@ -3,14 +3,15 @@
 A trace is represented as a sequence of :class:`AccessBlock` values —
 struct-of-arrays blocks holding ``vpn`` (int64), ``is_write`` (bool)
 and ``think_ns`` (int64) columns — instead of one
-:class:`~repro.sim.process.PageAccess` object per touch.  Workloads
-produce blocks via :meth:`~repro.workloads.base.Workload.columnar_blocks`
-(natively vectorized where the pattern allows, packed from the object
-stream otherwise — both yield the byte-identical access sequence), and
-:class:`ColumnarCursor` is the consuming side: a read head over the
-block stream that the vectorized burst kernel slices whole resident
-runs from and that can still pop one scalar access at a time for the
-fault path.
+:class:`~repro.sim.process.PageAccess` object per touch.  Every trace
+is produced as blocks: :meth:`~repro.workloads.base.Workload.columnar_blocks`
+cuts a workload's raw chunks into fixed-size blocks with
+:func:`reblock`, and the per-access
+:meth:`~repro.workloads.base.Workload.accesses` stream is a view over
+those blocks.  :class:`ColumnarCursor` is the consuming side: a read
+head over the block stream that the vectorized burst kernel slices
+whole resident runs from and that can still pop one scalar access at
+a time for the fault path.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "AccessBlock",
     "ColumnarCursor",
-    "pack_blocks",
+    "reblock",
 ]
 
 #: Default accesses per block.  Big enough that per-block Python
@@ -60,45 +61,89 @@ class AccessBlock:
         return len(self.vpn)
 
     def accesses(self) -> Iterator[PageAccess]:
-        """Unpack back into per-access objects (tests, interop)."""
-        for vpn, is_write, think_ns in zip(
-            self.vpn.tolist(), self.is_write.tolist(), self.think_ns.tolist()
-        ):
-            yield PageAccess(vpn=vpn, is_write=is_write, think_ns=think_ns)
+        """Unpack into per-access objects (the object engine's input)."""
+        return map(
+            PageAccess,
+            self.vpn.tolist(),
+            self.is_write.tolist(),
+            self.think_ns.tolist(),
+        )
 
 
-def pack_blocks(
-    accesses: Iterable[PageAccess], block_size: int = DEFAULT_BLOCK_SIZE
+def _cut(block: AccessBlock, start: int, stop: int) -> AccessBlock:
+    return AccessBlock(
+        vpn=block.vpn[start:stop],
+        is_write=block.is_write[start:stop],
+        think_ns=block.think_ns[start:stop],
+    )
+
+
+def _concat(parts: list[AccessBlock]) -> AccessBlock:
+    if len(parts) == 1:
+        return parts[0]
+    return AccessBlock(
+        vpn=np.concatenate([part.vpn for part in parts]),
+        is_write=np.concatenate([part.is_write for part in parts]),
+        think_ns=np.concatenate([part.think_ns for part in parts]),
+    )
+
+
+def reblock(
+    chunks: Iterable[AccessBlock], block_size: int, count: int
 ) -> Iterator[AccessBlock]:
-    """Pack an object access stream into columnar blocks.
+    """Cut a chunk stream into blocks of *block_size*, *count* in total.
 
-    The generic (always-correct) producer behind
-    :meth:`Workload.columnar_blocks`: the emitted block sequence
-    concatenates to exactly the input stream, so eager packing is
-    bit-exact for any workload — trace generation depends only on the
-    workload's own RNG draw count, never on simulator state.
+    *chunks* may have any lengths and may be infinite; the result is
+    its first *count* accesses as blocks of exactly *block_size*
+    (except the last).  A chunk that already spans whole blocks is
+    sliced into views, not copied.  Raises :class:`ValueError` now for
+    a non-positive *block_size*, and :class:`RuntimeError` on
+    consumption if the chunks run out before *count*.
     """
     if block_size <= 0:
         raise ValueError(f"block_size must be positive, got {block_size}")
-    vpns: list[int] = []
-    writes: list[bool] = []
-    thinks: list[int] = []
-    for access in accesses:
-        vpns.append(access.vpn)
-        writes.append(access.is_write)
-        thinks.append(access.think_ns)
-        if len(vpns) >= block_size:
-            yield AccessBlock(
-                vpn=np.array(vpns, dtype=np.int64),
-                is_write=np.array(writes, dtype=np.bool_),
-                think_ns=np.array(thinks, dtype=np.int64),
-            )
-            vpns, writes, thinks = [], [], []
-    if vpns:
-        yield AccessBlock(
-            vpn=np.array(vpns, dtype=np.int64),
-            is_write=np.array(writes, dtype=np.bool_),
-            think_ns=np.array(thinks, dtype=np.int64),
+    return _reblock(iter(chunks), block_size, count)
+
+
+def _reblock(
+    chunks: Iterator[AccessBlock], block_size: int, count: int
+) -> Iterator[AccessBlock]:
+    pending: list[AccessBlock] = []
+    pending_len = 0
+    remaining = count
+    for chunk in chunks:
+        size = len(chunk)
+        if size >= remaining:
+            if size > remaining:
+                chunk = _cut(chunk, 0, remaining)
+            size = remaining
+        remaining -= size
+        start = 0
+        if pending_len:
+            need = block_size - pending_len
+            if size < need:
+                pending.append(chunk)
+                pending_len += size
+                if remaining == 0:
+                    break
+                continue
+            pending.append(_cut(chunk, 0, need))
+            yield _concat(pending)
+            pending, pending_len, start = [], 0, need
+        while size - start >= block_size:
+            yield _cut(chunk, start, start + block_size)
+            start += block_size
+        if start < size:
+            pending.append(_cut(chunk, start, size))
+            pending_len = size - start
+        if remaining == 0:
+            break
+    if pending_len:
+        yield _concat(pending)
+    if remaining:
+        raise RuntimeError(
+            f"access stream exhausted after {count - remaining} accesses, "
+            f"expected {count}"
         )
 
 

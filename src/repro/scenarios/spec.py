@@ -16,10 +16,13 @@ can live in files, CI configs, and bug reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from repro.control.spec import BalancerSpec, ControlSpec, GovernorSpec
-from repro.sim.process import PageAccess
+from repro.kernel.columnar import AccessBlock
 from repro.sim.rng import SimRandom, derive_seed
 from repro.trace.convert import load_any_trace
 from repro.workloads.base import Workload
@@ -399,15 +402,16 @@ class OpenLoopWorkload(Workload):
         self.arrival = arrival
         self.name = f"open-loop/{inner.name}"
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        """Unreachable by design: :meth:`accesses` re-times the inner
-        workload's stream directly."""
-        raise NotImplementedError("OpenLoopWorkload overrides accesses()")
-
-    def accesses(self) -> Iterator[PageAccess]:
-        rng = SimRandom(self.seed, f"arrivals/{self.name}")
-        for access, gap in zip(self.inner.accesses(), self.arrival.gaps(rng)):
-            yield PageAccess(vpn=access.vpn, is_write=access.is_write, think_ns=gap)
+    def _chunks(self, block_size: int) -> Iterator[AccessBlock]:
+        """The inner blocks with their think times replaced by gaps."""
+        gaps = self.arrival.gaps(SimRandom(self.seed, f"arrivals/{self.name}"))
+        for block in self.inner.columnar_blocks(block_size):
+            n = len(block)
+            yield AccessBlock(
+                vpn=block.vpn,
+                is_write=block.is_write,
+                think_ns=np.fromiter(islice(gaps, n), np.int64, count=n),
+            )
 
 
 def _build_workload(tenant: TenantSpec, accesses: int, seed: int) -> Workload:

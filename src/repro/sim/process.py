@@ -262,13 +262,13 @@ def make_driver(
 ) -> ProcessDriver:
     """Build a :class:`ProcessDriver` for *workload* under *engine*.
 
-    ``"object"`` feeds the driver the per-access iterator from
-    :meth:`Workload.accesses`; ``"vectorized"`` feeds it a
+    ``"vectorized"`` feeds the driver a
     :class:`~repro.kernel.ColumnarCursor` over
-    :meth:`Workload.columnar_blocks` — the same access sequence in
-    struct-of-arrays blocks, enabling the burst kernel.  Both engines
-    draw from identically-seeded RNG streams, so the simulated schedule
-    is bit-identical either way.
+    :meth:`Workload.columnar_blocks`, enabling the burst kernel;
+    ``"object"`` feeds it the per-access iterator of
+    :meth:`Workload.accesses`, a view over those same blocks.  Both
+    engines therefore read one trace, and the simulated schedule is
+    bit-identical either way.
     """
     if engine == "object":
         return ProcessDriver(pid, workload.accesses(), start_ns)

@@ -43,7 +43,7 @@ def sniff_trace(path: str | Path) -> str | None:
 def _read_v1_meta(path: Path) -> dict:
     with path.open("r", encoding="utf-8") as handle:
         handle.readline()
-        metadata = _parse_metadata(handle.readline())
+        metadata = _parse_metadata(path, handle.readline())
         count = metadata.get("count")
         if count is None:
             count = sum(
@@ -91,11 +91,9 @@ def read_trace_meta(path: str | Path) -> dict:
 def load_any_trace(path: str | Path):
     """Load either trace format into a replayable workload.
 
-    v1 text loads eagerly into a
-    :class:`~repro.workloads.trace_io.RecordedWorkload`; v2 memory-maps
-    into a :class:`~repro.trace.format.ColumnarTraceWorkload`.  Both
-    expose identical ``accesses()`` / ``columnar_blocks()`` contracts,
-    so callers need not care which they got.
+    Both formats load into one replay class,
+    :class:`~repro.workloads.trace_io.ColumnarTraceWorkload`: v1 text is
+    parsed into its columns, v2 is memory-mapped.
     """
     path = Path(path)
     kind = sniff_trace(path)

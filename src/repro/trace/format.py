@@ -21,8 +21,10 @@ Columns whose content is trivial are omitted from the file and
 synthesized on load as broadcast views (still zero-copy): ``is_write``
 when no access writes, ``think_ns`` when every access uses the header
 default.  A million-access trace is therefore ~8 MB and opens
-memory-mapped in milliseconds — :class:`ColumnarTraceWorkload` slices
-:class:`~repro.kernel.AccessBlock` views straight off the maps.
+memory-mapped in milliseconds — the replay class
+:class:`~repro.workloads.trace_io.ColumnarTraceWorkload` (shared with
+the v1 text loader) slices :class:`~repro.kernel.AccessBlock` views
+straight off the maps.
 """
 
 from __future__ import annotations
@@ -31,13 +33,10 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
-from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock
-from repro.sim.process import PageAccess
-from repro.workloads.base import Workload
+from repro.workloads.trace_io import ColumnarTraceWorkload
 
 __all__ = [
     "FORMAT_NAME",
@@ -118,6 +117,8 @@ def write_trace_v2(
     count = len(vpn)
     if wss_pages <= 0:
         raise ValueError(f"wss_pages must be positive, got {wss_pages}")
+    if think_default < 0:
+        raise ValueError(f"negative think time {think_default} ns")
     lo, hi = int(vpn.min()), int(vpn.max())
     if lo < 0 or hi >= wss_pages:
         raise ValueError(
@@ -128,6 +129,8 @@ def write_trace_v2(
         think_arr = np.ascontiguousarray(think_ns, dtype=np.int64)
         if len(think_arr) != count:
             raise ValueError("think_ns column length mismatch")
+        if think_arr.min() < 0:
+            raise ValueError(f"negative think time {int(think_arr.min())} ns")
         if not (think_arr == think_default).all():
             sections["think_ns"] = think_arr
     if is_write is not None:
@@ -224,8 +227,9 @@ def open_trace_v2(
 
     The columns stay on disk (``np.memmap`` read-only views); omitted
     columns come back as broadcast views.  *validate* runs the O(n)
-    bounds scans (vpn within the working set, is_write ∈ {0, 1}) —
-    milliseconds per million accesses, skippable for hot reopen paths.
+    scans (vpn within the working set, is_write ∈ {0, 1}, no negative
+    think time) — milliseconds per million accesses, skippable for hot
+    reopen paths.
     """
     path = Path(path)
     header = read_trace_v2_header(path)
@@ -250,104 +254,17 @@ def open_trace_v2(
         think = arrays["think_ns"]
     else:
         think = np.broadcast_to(np.int64(header["think_ns"]), (count,))
-    workload = ColumnarTraceWorkload(
-        vpn,
-        is_write,
-        think,
-        wss_pages=header["wss_pages"],
-        think_ns=header["think_ns"],
-        name=header["name"],
-        validate=validate,
-    )
-    workload.source_path = path
+    try:
+        workload = ColumnarTraceWorkload(
+            vpn,
+            is_write,
+            think,
+            wss_pages=header["wss_pages"],
+            think_ns=header["think_ns"],
+            name=header["name"],
+            validate=validate,
+        )
+    except ValueError as error:
+        raise TraceFormatError(f"{path}: {error}") from None
     workload.provenance = dict(header.get("provenance", {}))
     return workload
-
-
-class ColumnarTraceWorkload(Workload):
-    """A recorded trace replayed straight from columnar arrays.
-
-    The columnar twin of
-    :class:`~repro.workloads.trace_io.RecordedWorkload`:
-    :meth:`columnar_blocks` slices :class:`~repro.kernel.AccessBlock`
-    views directly off the (usually memory-mapped) columns — zero
-    copies beyond the views — while :meth:`accesses` remains the
-    object-path oracle yielding the bit-identical
-    :class:`~repro.sim.process.PageAccess` sequence for the object
-    engine and equivalence tests.
-    """
-
-    def __init__(
-        self,
-        vpn,
-        is_write,
-        think_ns_col,
-        *,
-        wss_pages: int,
-        think_ns: int = 0,
-        name: str = "recorded",
-        validate: bool = True,
-    ) -> None:
-        if not (len(vpn) == len(is_write) == len(think_ns_col)):
-            raise ValueError(
-                "trace columns must share one length, got "
-                f"{len(vpn)}/{len(is_write)}/{len(think_ns_col)}"
-            )
-        super().__init__(
-            wss_pages=wss_pages, total_accesses=len(vpn), think_ns=think_ns
-        )
-        self.name = name
-        if validate:
-            lo, hi = int(vpn.min()), int(vpn.max())
-            if lo < 0 or hi >= wss_pages:
-                raise ValueError(
-                    f"trace access vpn span [{lo}, {hi}] outside wss {wss_pages}"
-                )
-        self.vpn = vpn
-        self.is_write = is_write
-        self.think_ns_col = think_ns_col
-        #: Set by :func:`open_trace_v2`: where the columns are mapped from.
-        self.source_path: Path | None = None
-        #: Capture provenance from the file header (may be empty).
-        self.provenance: dict = {}
-
-    def _vpn_stream(self, rng) -> Iterator[int]:
-        """Unreachable by design: both replay paths read the columns."""
-        raise NotImplementedError("ColumnarTraceWorkload overrides accesses()")
-
-    def columnar_blocks(self, block_size: int | None = None):
-        """Block views sliced straight off the columns (zero-copy)."""
-        if block_size is None:
-            block_size = DEFAULT_BLOCK_SIZE
-        if block_size <= 0:
-            raise ValueError(f"block_size must be positive, got {block_size}")
-        vpn, is_write, think = self.vpn, self.is_write, self.think_ns_col
-        for start in range(0, len(vpn), block_size):
-            stop = start + block_size
-            yield AccessBlock(
-                vpn=vpn[start:stop],
-                is_write=is_write[start:stop],
-                think_ns=think[start:stop],
-            )
-
-    def accesses(self) -> Iterator[PageAccess]:
-        """The object-path oracle: one :class:`PageAccess` per touch.
-
-        Decodes the columns chunk-wise (``tolist`` per block) so even a
-        million-access mmap'd trace never materializes all objects at
-        once.
-        """
-        vpn, is_write, think = self.vpn, self.is_write, self.think_ns_col
-        chunk = 8192
-        for start in range(0, len(vpn), chunk):
-            stop = start + chunk
-            for page, write, think_ns in zip(
-                vpn[start:stop].tolist(),
-                is_write[start:stop].tolist(),
-                think[start:stop].tolist(),
-            ):
-                yield PageAccess(vpn=page, is_write=write, think_ns=think_ns)
-
-    def columns(self):
-        """The raw ``(vpn, is_write, think_ns)`` arrays (analysis input)."""
-        return self.vpn, self.is_write, self.think_ns_col

@@ -13,16 +13,16 @@ from repro.workloads.patterns import (
 from repro.workloads.phased import PhasedWorkload
 from repro.workloads.powergraph import PowerGraphWorkload
 from repro.workloads.segments import SegmentMixWorkload
-from repro.workloads.trace_io import RecordedWorkload, load_trace, save_trace
+from repro.workloads.trace_io import ColumnarTraceWorkload, load_trace, save_trace
 from repro.workloads.voltdb import VoltDBWorkload
 
 __all__ = [
+    "ColumnarTraceWorkload",
     "MemcachedWorkload",
     "NumpyMatmulWorkload",
     "PhasedWorkload",
     "PowerGraphWorkload",
     "RandomWorkload",
-    "RecordedWorkload",
     "SegmentMixWorkload",
     "SequentialWorkload",
     "StrideWorkload",

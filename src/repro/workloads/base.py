@@ -1,7 +1,12 @@
 """Workload interface and trace utilities.
 
-A workload is a reproducible generator of :class:`PageAccess` items
-over a working set of ``wss_pages`` virtual pages.  Workloads carry the
+A workload is a reproducible page-access trace over a working set of
+``wss_pages`` virtual pages, produced in one form only: columnar
+:class:`~repro.kernel.AccessBlock` values from
+:meth:`Workload.columnar_blocks`.  The per-access
+:class:`~repro.sim.process.PageAccess` stream of :meth:`Workload.accesses`
+is a view over those blocks, so the two engines read one trace by
+construction.  Workloads carry the
 metadata the benchmarks need: how many accesses they will emit, how
 many application-level *operations* those accesses represent (for the
 throughput figures), and the think time separating accesses (the
@@ -11,19 +16,26 @@ slowdown).
 
 from __future__ import annotations
 
-import abc
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
 
-from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock, pack_blocks
+from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock, reblock
 from repro.sim.process import PageAccess
 from repro.sim.rng import SimRandom
 
 __all__ = ["Workload", "materialize_columns"]
 
+#: Block size behind the :meth:`Workload.accesses` view.  The object
+#: engine takes one access at a time, so each of its tenants holds one
+#: block decoded into Python objects; at the default 8192 the four
+#: paper-application tenants peaked ~3 MiB higher.  The stream is the
+#: same at any block size.
+_VIEW_BLOCK_SIZE = 1024
 
-class Workload(abc.ABC):
+
+class Workload:
     """A finite, reproducible page-access trace."""
 
     name: str
@@ -56,118 +68,74 @@ class Workload(abc.ABC):
     def total_ops(self) -> int:
         return self.total_accesses // self.accesses_per_op
 
-    @abc.abstractmethod
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        """Yield virtual page numbers (may be infinite; it is truncated)."""
+    def _vpn_arrays(self, rng: SimRandom, batch: int) -> Iterator[np.ndarray]:
+        """The synthetic-pattern hook: int64 vpn arrays (may be infinite).
 
-    def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        """Native vectorized vpn generation hook (may be infinite).
-
-        Patterns with a closed array form (sequential sweeps, stride
-        sweeps, inverse-transform zipfian) override this to yield numpy
-        int64 arrays concatenating to exactly the :meth:`_vpn_stream`
-        sequence — same RNG stream, same draw order, so the emitted
-        trace is bit-identical.  The default returns None, which makes
-        :meth:`columnar_blocks` fall back to packing the object stream.
+        The arrays concatenate to the pattern's page sequence; *rng* is
+        the workload's ``vpns`` stream and *batch* a sizing hint for
+        arrays of per-draw randomness.  :meth:`_chunks` clamps the vpns
+        into the working set, draws the write flags, fills the think
+        times, and :meth:`columnar_blocks` truncates the result.
         """
-        return None
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither _vpn_arrays nor _chunks"
+        )
 
-    def columnar_blocks(self, block_size: int | None = None):
-        """The trace as struct-of-arrays blocks (vectorized engine).
+    def _chunks(self, block_size: int) -> Iterator[AccessBlock]:
+        """The raw trace as blocks of any length (may be infinite).
 
-        Yields :class:`~repro.kernel.AccessBlock` values whose columns
-        concatenate to exactly the :meth:`accesses` sequence: the same
-        labelled RNG streams are spawned in the same order ("writes"
-        before "vpns"), write flags are drawn one ``random()`` per
-        emitted access exactly when ``write_fraction > 0``, and vpns are
-        clamped with the same ``% wss_pages``.  Blocks are *block_size*
-        long except the last.
+        The default builds it from :meth:`_vpn_arrays`: the labelled
+        ``writes`` stream is spawned before ``vpns``, write flags are
+        one uniform draw per access exactly when ``write_fraction > 0``,
+        and every access thinks ``think_ns``.  Workloads whose write
+        flags or think times are not drawn this way override this.
         """
-        if block_size is None:
-            block_size = DEFAULT_BLOCK_SIZE
         rng = SimRandom(self.seed, f"workload/{self.name}")
         write_rng = rng.spawn("writes")
-        native = self._columnar_vpn_blocks(rng.spawn("vpns"), block_size)
-        if native is None:
-            yield from pack_blocks(self.accesses(), block_size)
-            return
-
         wss = self.wss_pages
         think = self.think_ns
         wf = self.write_fraction
-
-        def make_block(arr: "np.ndarray") -> AccessBlock:
-            n = len(arr)
+        batch = min(block_size, self.total_accesses)
+        for vpn in self._vpn_arrays(rng.spawn("vpns"), batch):
+            n = len(vpn)
             if wf > 0.0:
                 writes = write_rng.random_array(n) < wf
             else:
                 writes = np.zeros(n, dtype=np.bool_)
-            return AccessBlock(
-                vpn=(arr % wss).astype(np.int64, copy=False),
+            yield AccessBlock(
+                vpn=vpn % wss,
                 is_write=writes,
                 think_ns=np.full(n, think, dtype=np.int64),
             )
 
-        def truncated() -> Iterator["np.ndarray"]:
-            remaining = self.total_accesses
-            for arr in native:
-                if len(arr) > remaining:
-                    arr = arr[:remaining]
-                if len(arr):
-                    yield arr
-                    remaining -= len(arr)
-                if remaining <= 0:
-                    return
-            if remaining > 0:
-                raise RuntimeError(
-                    f"workload {self.name} exhausted after "
-                    f"{self.total_accesses - remaining} accesses, "
-                    f"expected {self.total_accesses}"
-                )
+    def columnar_blocks(self, block_size: int | None = None) -> Iterator[AccessBlock]:
+        """The trace: ``total_accesses`` accesses as columnar blocks.
 
-        buffered: list = []
-        buffered_len = 0
-        for arr in truncated():
-            buffered.append(arr)
-            buffered_len += len(arr)
-            while buffered_len >= block_size:
-                merged = np.concatenate(buffered) if len(buffered) > 1 else buffered[0]
-                yield make_block(merged[:block_size])
-                rest = merged[block_size:]
-                buffered = [rest] if len(rest) else []
-                buffered_len = len(rest)
-        if buffered_len:
-            merged = np.concatenate(buffered) if len(buffered) > 1 else buffered[0]
-            yield make_block(merged)
+        Blocks are *block_size* long (default
+        :data:`~repro.kernel.DEFAULT_BLOCK_SIZE`) except the last; the
+        concatenated stream does not depend on *block_size*.  A
+        non-positive *block_size* raises :class:`ValueError`.
+        """
+        if block_size is None:
+            block_size = DEFAULT_BLOCK_SIZE
+        return reblock(self._chunks(block_size), block_size, self.total_accesses)
 
     def accesses(self) -> Iterator[PageAccess]:
-        """The trace: ``total_accesses`` of :class:`PageAccess`."""
-        rng = SimRandom(self.seed, f"workload/{self.name}")
-        write_rng = rng.spawn("writes")
-        emitted = 0
-        for vpn in self._vpn_stream(rng.spawn("vpns")):
-            if emitted >= self.total_accesses:
-                return
-            clamped = vpn % self.wss_pages
-            is_write = (
-                self.write_fraction > 0.0
-                and write_rng.random() < self.write_fraction
-            )
-            yield PageAccess(vpn=clamped, is_write=is_write, think_ns=self.think_ns)
-            emitted += 1
-        if emitted < self.total_accesses:
-            raise RuntimeError(
-                f"workload {self.name} exhausted after {emitted} accesses, "
-                f"expected {self.total_accesses}"
-            )
+        """The trace as one :class:`PageAccess` per touch.
+
+        A view over :meth:`columnar_blocks` (the object engine's input).
+        """
+        return chain.from_iterable(
+            block.accesses() for block in self.columnar_blocks(_VIEW_BLOCK_SIZE)
+        )
 
 
 def materialize_columns(workload: Workload):
     """The workload's full trace as ``(vpn, is_write, think_ns)`` arrays.
 
     Fully expands a workload for analysis (Figure 3, ``repro trace
-    analyze``): concatenates the workload's :meth:`~Workload.columnar_blocks` stream (bit-identical
-    to :meth:`~Workload.accesses` by contract) into three int64/bool
+    analyze``) and capture: concatenates the workload's
+    :meth:`~Workload.columnar_blocks` stream into three int64/bool
     arrays without a per-access object detour.  Workloads that already
     hold their columns (``ColumnarTraceWorkload``) are returned
     zero-copy via their ``columns()`` fast path.
@@ -182,8 +150,6 @@ def materialize_columns(workload: Workload):
         vpn_parts.append(block.vpn)
         write_parts.append(block.is_write)
         think_parts.append(block.think_ns)
-    if not vpn_parts:
-        raise ValueError(f"workload {workload.name!r} emitted no accesses")
     return (
         np.concatenate(vpn_parts),
         np.concatenate(write_parts),

@@ -15,11 +15,12 @@ tell apart.  Each request cycle:
    mostly short backward jumps, a tail of long ones).
 
 The lookup draws are the only randomness, taken from one labelled
-stream mirrored exactly by ``SimRandom.random_array``, and everything
-else is closed-form arithmetic — so :meth:`columnar_blocks` generates
-the columns natively (arange/power/mod, no per-access Python) while
-:meth:`accesses` replays the identical sequence object-by-object as
-its oracle.  This is the flagship trace family for ``repro trace``:
+stream in batches (``SimRandom.random_array``), and everything else is
+closed-form arithmetic — so the columns are generated natively
+(arange/power/mod, no per-access Python).  The write flags follow the
+phase (appends write, everything else reads) instead of being drawn,
+which is why this workload builds its own chunks rather than a vpn
+array.  This is the flagship trace family for ``repro trace``:
 capture it at millions of accesses, replay it zero-copy, and the
 analyzer shows the three regimes as distinct regions.
 """
@@ -30,8 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock
-from repro.sim.process import PageAccess
+from repro.kernel.columnar import AccessBlock
 from repro.sim.rng import SimRandom
 from repro.workloads.base import Workload
 
@@ -75,136 +75,44 @@ class KVCacheWorkload(Workload):
         self.lookups_per_append = lookups_per_append
         self.recency_skew = recency_skew
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        """Unreachable by design: the write flags are phase-determined
-        (appends write, reads don't), so both replay paths emit
-        complete accesses from :meth:`_segments` directly."""
-        raise NotImplementedError("KVCacheWorkload overrides accesses()")
-
-    def _segments(self) -> Iterator[tuple]:
-        """The deterministic request-cycle skeleton, shared verbatim by
-        both replay paths.
-
-        Yields ``("seq", start, length, is_write)`` runs and
-        ``("lookup", count, avail, written)`` markers (the draws happen
-        in the consumer, so each path can batch them its own way).
-        ``written`` counts appended pages monotonically; the append ring
-        occupies ``[hot_pages, wss_pages)``.
-        """
+    def _chunks(self, block_size: int) -> Iterator[AccessBlock]:
+        """Request cycles, one chunk per run: the hot prefix re-read,
+        the append run(s) wrapping around the ring ``[hot_pages,
+        wss_pages)``, and the recency-biased lookups."""
+        rng = SimRandom(self.seed, f"workload/{self.name}")
+        draw = rng.spawn("lookups")
         hot = self.hot_pages
         ring = self.ring_pages
+        skew = self.recency_skew
+        lookups = self.lookups_per_append
+        think = self.think_ns
+        prefix = AccessBlock(
+            vpn=np.arange(hot, dtype=np.int64),
+            is_write=np.zeros(hot, dtype=np.bool_),
+            think_ns=np.full(hot, think, dtype=np.int64),
+        )
         written = 0
         while True:
-            yield ("seq", 0, hot, False)
+            yield prefix
             remaining = self.append_pages
             while remaining:
                 head = written % ring
                 run = min(remaining, ring - head)
-                yield ("seq", hot + head, run, True)
+                yield AccessBlock(
+                    vpn=np.arange(hot + head, hot + head + run, dtype=np.int64),
+                    is_write=np.ones(run, dtype=np.bool_),
+                    think_ns=np.full(run, think, dtype=np.int64),
+                )
                 written += run
                 remaining -= run
-            if self.lookups_per_append:
-                yield ("lookup", self.lookups_per_append, min(written, ring), written)
-
-    def accesses(self) -> Iterator[PageAccess]:
-        rng = SimRandom(self.seed, f"workload/{self.name}")
-        draw = rng.spawn("lookups")
-        hot = self.hot_pages
-        ring = self.ring_pages
-        skew = self.recency_skew
-        think = self.think_ns
-        emitted = 0
-        total = self.total_accesses
-        for segment in self._segments():
-            if segment[0] == "seq":
-                _, start, length, is_write = segment
-                for step in range(min(length, total - emitted)):
-                    yield PageAccess(
-                        vpn=start + step, is_write=is_write, think_ns=think
-                    )
-                emitted += min(length, total - emitted)
-            else:
-                _, count, avail, written = segment
-                for _ in range(min(count, total - emitted)):
-                    offset = int(avail * draw.random() ** skew)
-                    if offset >= avail:
-                        offset = avail - 1
-                    yield PageAccess(
-                        vpn=hot + (written - 1 - offset) % ring,
-                        is_write=False,
-                        think_ns=think,
-                    )
-                emitted += min(count, total - emitted)
-            if emitted >= total:
-                return
-
-    def columnar_blocks(self, block_size: int | None = None):
-        """Native columnar generation: arange runs + batched draws.
-
-        Mirrors :meth:`accesses` bit-exactly — the same segment
-        skeleton, lookup draws batched through
-        ``SimRandom.random_array`` (the per-call ``random()`` mirror),
-        and the identical float64 power/truncate arithmetic.
-        """
-        if block_size is None:
-            block_size = DEFAULT_BLOCK_SIZE
-        rng = SimRandom(self.seed, f"workload/{self.name}")
-        draw = rng.spawn("lookups")
-        hot = self.hot_pages
-        ring = self.ring_pages
-        skew = self.recency_skew
-        think = self.think_ns
-
-        def columns() -> Iterator[tuple]:
-            remaining = self.total_accesses
-            for segment in self._segments():
-                if segment[0] == "seq":
-                    _, start, length, is_write = segment
-                    take = min(length, remaining)
-                    vpn = np.arange(start, start + take, dtype=np.int64)
-                    writes = np.full(take, is_write, dtype=np.bool_)
-                else:
-                    _, count, avail, written = segment
-                    take = min(count, remaining)
-                    u = draw.random_array(take)
-                    offsets = np.minimum(
-                        (avail * u**skew).astype(np.int64), avail - 1
-                    )
-                    vpn = hot + (written - 1 - offsets) % ring
-                    writes = np.zeros(take, dtype=np.bool_)
-                yield vpn, writes
-                remaining -= take
-                if remaining <= 0:
-                    return
-
-        vpn_buf: list = []
-        write_buf: list = []
-        buffered = 0
-
-        def merge(parts: list, size: int):
-            merged = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            return merged[:size], merged[size:]
-
-        for vpn, writes in columns():
-            vpn_buf.append(vpn)
-            write_buf.append(writes)
-            buffered += len(vpn)
-            while buffered >= block_size:
-                head_vpn, rest_vpn = merge(vpn_buf, block_size)
-                head_writes, rest_writes = merge(write_buf, block_size)
-                yield AccessBlock(
-                    vpn=head_vpn,
-                    is_write=head_writes,
-                    think_ns=np.full(block_size, think, dtype=np.int64),
+            if lookups:
+                avail = min(written, ring)
+                offsets = np.minimum(
+                    (avail * draw.random_array(lookups) ** skew).astype(np.int64),
+                    avail - 1,
                 )
-                vpn_buf = [rest_vpn] if len(rest_vpn) else []
-                write_buf = [rest_writes] if len(rest_writes) else []
-                buffered = len(rest_vpn)
-        if buffered:
-            tail_vpn, _ = merge(vpn_buf, buffered)
-            tail_writes, _ = merge(write_buf, buffered)
-            yield AccessBlock(
-                vpn=tail_vpn,
-                is_write=tail_writes,
-                think_ns=np.full(buffered, think, dtype=np.int64),
-            )
+                yield AccessBlock(
+                    vpn=hot + (written - 1 - offsets) % ring,
+                    is_write=np.zeros(lookups, dtype=np.bool_),
+                    think_ns=np.full(lookups, think, dtype=np.int64),
+                )

@@ -10,7 +10,8 @@ package.
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -22,9 +23,15 @@ __all__ = [
     "StrideWorkload",
     "RandomWorkload",
     "ZipfianWorkload",
+    "batched",
+    "permloop_arrays",
+    "sequential_arrays",
     "sequential_run",
+    "stride_arrays",
     "stride_run",
-    "random_run",
+    "take",
+    "uniform_arrays",
+    "zipfian_arrays",
 ]
 
 
@@ -40,10 +47,98 @@ def stride_run(start: int, stride: int, count: int) -> Iterator[int]:
         yield start + step * stride
 
 
-def random_run(rng: SimRandom, space: int, count: int) -> Iterator[int]:
-    """``count`` uniform-random pages within ``[0, space)``."""
-    for _ in range(count):
-        yield rng.randrange(space)
+# -- pattern array generators ------------------------------------------------
+# Each yields int64 vpn arrays forever; the workloads below and the
+# phases of :class:`~repro.workloads.phased.PhasedWorkload` share them.
+
+
+def batched(vpns: Iterable[int], batch: int) -> Iterator[np.ndarray]:
+    """Batch a scalar vpn stream into int64 arrays of *batch* entries.
+
+    For patterns with per-draw control flow and no closed array form;
+    batching still skips the per-access object construction.
+    """
+    vpns = iter(vpns)
+    while True:
+        yield np.fromiter(islice(vpns, batch), np.int64, count=batch)
+
+
+def take(arrays: Iterable[np.ndarray], count: int) -> Iterator[np.ndarray]:
+    """The first *count* entries of an array stream."""
+    if count <= 0:
+        return
+    for array in arrays:
+        if len(array) >= count:
+            yield array[:count]
+            return
+        yield array
+        count -= len(array)
+
+
+def sequential_arrays(wss_pages: int) -> Iterator[np.ndarray]:
+    """Front-to-back sweeps of the working set, repeated."""
+    sweep = np.arange(wss_pages, dtype=np.int64)
+    while True:
+        yield sweep
+
+
+def stride_arrays(wss_pages: int, stride: int) -> Iterator[np.ndarray]:
+    """Sweeps ``stride`` pages apart, each starting one page further in.
+
+    When the start itself is past the region (``stride > wss_pages``)
+    the sweep is that one page before wrapping.
+    """
+    if stride <= 0:
+        raise ValueError(f"stride must be positive, got {stride}")
+    phase = 0
+    while True:
+        if phase < wss_pages:
+            yield np.arange(phase, wss_pages, stride, dtype=np.int64)
+        else:
+            yield np.array([phase], dtype=np.int64)
+        phase = (phase + 1) % stride
+
+
+def uniform_arrays(rng: SimRandom, wss_pages: int, batch: int) -> Iterator[np.ndarray]:
+    """Uniform-random pages, one ``randrange`` each.
+
+    Python's Mersenne Twister integer draws have no bit-exact array
+    form, so the draws are batched instead.
+    """
+    randrange = rng.randrange
+    while True:
+        yield np.fromiter(
+            (randrange(wss_pages) for _ in range(batch)), np.int64, count=batch
+        )
+
+
+def zipfian_arrays(
+    rng: SimRandom, wss_pages: int, skew: float, batch: int
+) -> Iterator[np.ndarray]:
+    """Zipf(*skew*) ranks scattered across the working set.
+
+    Ranks are inverse-transform samples of batched uniform draws;
+    ``searchsorted`` on the float64 CDF computes the same index as
+    :meth:`SimRandom.zipf`'s ``bisect_left``.  The scatter permutation
+    keeps popularity uncorrelated with address adjacency.
+    """
+    scatter = list(range(wss_pages))
+    rng.spawn("scatter").shuffle(scatter)
+    draw = rng.spawn("zipf")
+    scatter_arr = np.array(scatter, dtype=np.int64)
+    cdf = np.array(_zipf_cdf(wss_pages, skew), dtype=np.float64)
+    while True:
+        ranks = np.searchsorted(cdf, draw.random_array(batch), side="left")
+        yield scatter_arr[np.minimum(ranks, wss_pages - 1)]
+
+
+def permloop_arrays(rng: SimRandom, loop_pages: int) -> Iterator[np.ndarray]:
+    """One fixed random permutation of ``loop_pages`` pages, looped."""
+    order = list(range(loop_pages))
+    rng.spawn("perm").shuffle(order)
+    loop = np.array(order, dtype=np.int64)
+    while True:
+        yield loop
 
 
 class SequentialWorkload(Workload):
@@ -51,14 +146,8 @@ class SequentialWorkload(Workload):
 
     name = "sequential"
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        while True:
-            yield from sequential_run(0, self.wss_pages)
-
-    def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        sweep = np.arange(self.wss_pages, dtype=np.int64)
-        while True:
-            yield sweep
+    def _vpn_arrays(self, rng: SimRandom, batch: int) -> Iterator[np.ndarray]:
+        return sequential_arrays(self.wss_pages)
 
 
 class StrideWorkload(Workload):
@@ -82,28 +171,8 @@ class StrideWorkload(Workload):
         self.stride = stride
         self.name = f"stride-{stride}"
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        phase = 0
-        position = 0
-        while True:
-            yield position
-            position += self.stride
-            if position >= self.wss_pages:
-                phase = (phase + 1) % self.stride
-                position = phase
-
-    def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        wss, stride = self.wss_pages, self.stride
-        phase = 0
-        while True:
-            # One sweep starting at `phase`; when the start itself is
-            # past the region (stride > wss), the object loop still
-            # yields it once before wrapping.
-            if phase < wss:
-                yield np.arange(phase, wss, stride, dtype=np.int64)
-            else:
-                yield np.array([phase], dtype=np.int64)
-            phase = (phase + 1) % stride
+    def _vpn_arrays(self, rng: SimRandom, batch: int) -> Iterator[np.ndarray]:
+        return stride_arrays(self.wss_pages, self.stride)
 
 
 class RandomWorkload(Workload):
@@ -111,22 +180,8 @@ class RandomWorkload(Workload):
 
     name = "random"
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        while True:
-            yield rng.randrange(self.wss_pages)
-
-    def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        # Uniform draws cannot be vectorized bit-exactly (they come
-        # from Python's Mersenne Twister), but batching them into
-        # arrays still skips per-access object construction.
-        wss = self.wss_pages
-        randrange = rng.randrange
-        while True:
-            yield np.fromiter(
-                (randrange(wss) for _ in range(block_size)),
-                np.int64,
-                count=block_size,
-            )
+    def _vpn_arrays(self, rng: SimRandom, batch: int) -> Iterator[np.ndarray]:
+        return uniform_arrays(rng, self.wss_pages, batch)
 
 
 class ZipfianWorkload(Workload):
@@ -142,26 +197,5 @@ class ZipfianWorkload(Workload):
             raise ValueError(f"skew must be positive, got {skew}")
         self.skew = skew
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        # Scatter ranks across the address space so popularity does not
-        # correlate with address adjacency.
-        scatter = list(range(self.wss_pages))
-        rng.spawn("scatter").shuffle(scatter)
-        draw = rng.spawn("zipf")
-        while True:
-            yield scatter[draw.zipf(self.wss_pages, self.skew)]
-
-    def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        # Same spawn order and uniform draws as _vpn_stream; only the
-        # inverse-transform lookup is vectorized, and searchsorted on
-        # the float64 CDF computes the identical bisect_left index.
-        wss = self.wss_pages
-        scatter = list(range(wss))
-        rng.spawn("scatter").shuffle(scatter)
-        draw = rng.spawn("zipf")
-        scatter_arr = np.array(scatter, dtype=np.int64)
-        cdf = np.array(_zipf_cdf(wss, self.skew), dtype=np.float64)
-        while True:
-            u = draw.random_array(block_size)
-            ranks = np.minimum(np.searchsorted(cdf, u, side="left"), wss - 1)
-            yield scatter_arr[ranks]
+    def _vpn_arrays(self, rng: SimRandom, batch: int) -> Iterator[np.ndarray]:
+        return zipfian_arrays(rng, self.wss_pages, self.skew, batch)

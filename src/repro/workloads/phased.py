@@ -34,13 +34,21 @@ Phase dicts are JSON-shaped, so a phased tenant round-trips through
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.sim.rng import SimRandom, _zipf_cdf
+from repro.sim.rng import SimRandom
 from repro.workloads.base import Workload
+from repro.workloads.patterns import (
+    batched,
+    permloop_arrays,
+    sequential_arrays,
+    stride_arrays,
+    take,
+    uniform_arrays,
+    zipfian_arrays,
+)
 
 __all__ = ["PhasedWorkload", "PHASE_KINDS"]
 
@@ -54,59 +62,42 @@ PHASE_KINDS = (
 )
 
 
-def _phase_stream(
-    phase: Mapping, wss_pages: int, rng: SimRandom
-) -> Iterator[int]:
-    """Infinite page stream for one phase spec."""
+def _noisy_sequential(rng: SimRandom, wss_pages: int, noise: float) -> Iterator[int]:
+    position = 0
+    while True:
+        if rng.random() < noise:
+            yield rng.randrange(wss_pages)
+        else:
+            yield position
+            position = (position + 1) % wss_pages
+
+
+def _phase_arrays(
+    phase: Mapping, wss_pages: int, rng: SimRandom, batch: int
+) -> Iterator[np.ndarray]:
+    """Infinite vpn arrays for one phase spec."""
     kind = phase["kind"]
     if kind == "sequential":
-        while True:
-            yield from range(wss_pages)
-    elif kind == "noisy-sequential":
+        return sequential_arrays(wss_pages)
+    if kind == "noisy-sequential":
         noise = float(phase.get("noise", 0.3))
         if not 0.0 <= noise < 1.0:
             raise ValueError(f"noise must be in [0, 1), got {noise}")
-        position = 0
-        while True:
-            if rng.random() < noise:
-                yield rng.randrange(wss_pages)
-            else:
-                yield position
-                position = (position + 1) % wss_pages
-    elif kind == "stride":
-        stride = int(phase.get("stride", 10))
-        if stride <= 0:
-            raise ValueError(f"stride must be positive, got {stride}")
-        offset = 0
-        position = 0
-        while True:
-            yield position
-            position += stride
-            if position >= wss_pages:
-                offset = (offset + 1) % stride
-                position = offset
-    elif kind == "random":
-        while True:
-            yield rng.randrange(wss_pages)
-    elif kind == "zipfian":
-        skew = float(phase.get("skew", 0.99))
-        scatter = list(range(wss_pages))
-        rng.spawn("scatter").shuffle(scatter)
-        draw = rng.spawn("zipf")
-        while True:
-            yield scatter[draw.zipf(wss_pages, skew)]
-    elif kind == "permloop":
+        return batched(_noisy_sequential(rng, wss_pages, noise), batch)
+    if kind == "stride":
+        return stride_arrays(wss_pages, int(phase.get("stride", 10)))
+    if kind == "random":
+        return uniform_arrays(rng, wss_pages, batch)
+    if kind == "zipfian":
+        return zipfian_arrays(rng, wss_pages, float(phase.get("skew", 0.99)), batch)
+    if kind == "permloop":
         loop_pages = int(phase.get("loop_pages", wss_pages))
         if not 2 <= loop_pages <= wss_pages:
             raise ValueError(
                 f"loop_pages must be in [2, wss_pages={wss_pages}], got {loop_pages}"
             )
-        order = list(range(loop_pages))
-        rng.spawn("perm").shuffle(order)
-        while True:
-            yield from order
-    else:
-        raise ValueError(f"unknown phase kind {kind!r} (choose from {PHASE_KINDS})")
+        return permloop_arrays(rng, loop_pages)
+    raise ValueError(f"unknown phase kind {kind!r} (choose from {PHASE_KINDS})")
 
 
 class PhasedWorkload(Workload):
@@ -151,81 +142,8 @@ class PhasedWorkload(Workload):
         self.phase_accesses[-1] += total_accesses - sum(self.phase_accesses)
         self.name = "phased/" + "+".join(phase["kind"] for phase in self.phases)
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
-        for index, (phase, count) in enumerate(zip(self.phases, self.phase_accesses)):
-            stream = _phase_stream(phase, self.wss_pages, rng.spawn(f"phase{index}"))
-            for _ in range(count):
-                yield next(stream)
-
-    def _columnar_vpn_blocks(self, rng: SimRandom, block_size: int):
-        """Per-phase native arrays, spawning ``phase{i}`` streams in
-        the same order as :meth:`_vpn_stream`.
-
-        Deterministic kinds (sequential, stride, permloop) emit closed
-        arrays; the stochastic kinds draw from the identical per-phase
-        RNG through the object stream, batched with ``fromiter`` —
-        either way each phase contributes exactly its access share.
-        """
-        wss = self.wss_pages
+    def _vpn_arrays(self, rng: SimRandom, batch: int) -> Iterator[np.ndarray]:
         for index, (phase, count) in enumerate(zip(self.phases, self.phase_accesses)):
             phase_rng = rng.spawn(f"phase{index}")
-            kind = phase["kind"]
-            remaining = count
-            if kind == "sequential":
-                sweep = np.arange(wss, dtype=np.int64)
-                while remaining > 0:
-                    arr = sweep if remaining >= wss else sweep[:remaining]
-                    yield arr
-                    remaining -= len(arr)
-            elif kind == "stride":
-                stride = int(phase.get("stride", 10))
-                if stride <= 0:
-                    raise ValueError(f"stride must be positive, got {stride}")
-                offset = 0
-                while remaining > 0:
-                    if offset < wss:
-                        arr = np.arange(offset, wss, stride, dtype=np.int64)
-                    else:
-                        arr = np.array([offset], dtype=np.int64)
-                    if len(arr) > remaining:
-                        arr = arr[:remaining]
-                    yield arr
-                    remaining -= len(arr)
-                    offset = (offset + 1) % stride
-            elif kind == "permloop":
-                loop_pages = int(phase.get("loop_pages", wss))
-                if not 2 <= loop_pages <= wss:
-                    raise ValueError(
-                        f"loop_pages must be in [2, wss_pages={wss}], "
-                        f"got {loop_pages}"
-                    )
-                order = list(range(loop_pages))
-                phase_rng.spawn("perm").shuffle(order)
-                loop = np.array(order, dtype=np.int64)
-                while remaining > 0:
-                    arr = loop if remaining >= loop_pages else loop[:remaining]
-                    yield arr
-                    remaining -= len(arr)
-            elif kind == "zipfian":
-                skew = float(phase.get("skew", 0.99))
-                scatter = list(range(wss))
-                phase_rng.spawn("scatter").shuffle(scatter)
-                draw = phase_rng.spawn("zipf")
-                scatter_arr = np.array(scatter, dtype=np.int64)
-                cdf = np.array(_zipf_cdf(wss, skew), dtype=np.float64)
-                while remaining > 0:
-                    chunk = min(remaining, block_size)
-                    u = draw.random_array(chunk)
-                    ranks = np.minimum(
-                        np.searchsorted(cdf, u, side="left"), wss - 1
-                    )
-                    yield scatter_arr[ranks]
-                    remaining -= chunk
-            else:
-                # noisy-sequential / random: per-draw control flow with
-                # no closed form; batch the object stream itself.
-                stream = _phase_stream(phase, wss, phase_rng)
-                while remaining > 0:
-                    chunk = min(remaining, block_size)
-                    yield np.fromiter(islice(stream, chunk), np.int64, count=chunk)
-                    remaining -= chunk
+            arrays = _phase_arrays(phase, self.wss_pages, phase_rng, min(batch, count))
+            yield from take(arrays, count)

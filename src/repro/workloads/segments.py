@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.sim.rng import SimRandom
 from repro.workloads.base import Workload
 from repro.workloads.mixer import burst_interleave, weighted_choice
-from repro.workloads.patterns import sequential_run, stride_run
+from repro.workloads.patterns import batched, sequential_run, stride_run
 
 __all__ = ["SegmentMixWorkload"]
 
@@ -193,7 +195,13 @@ class SegmentMixWorkload(Workload):
                 for _ in range(steps):
                     yield self._irregular_target(body, scatter)
 
-    def _vpn_stream(self, rng: SimRandom) -> Iterator[int]:
+    def _vpn_arrays(self, rng: SimRandom, batch: int) -> Iterator[np.ndarray]:
+        # The segment and interleave logic is per-draw control flow with
+        # no closed array form: run it scalar and batch its output.
+        return batched(self._scalar_vpns(rng), batch)
+
+    def _scalar_vpns(self, rng: SimRandom) -> Iterator[int]:
+        """The burst-interleaved, phase-switched page stream."""
         phase: list[tuple[str, int]] | None = None
         phase_rng = rng.spawn("phase")
         if self.phase_correlated:

@@ -1,10 +1,14 @@
-"""Trace persistence: record and replay page-access traces.
+"""Trace persistence: the replay workload and the v1 text format.
 
 Real reproduction work often wants to freeze a trace — to diff two
 prefetchers on *exactly* the same fault stream, to ship a regression
 trace with a bug report, to replay recorded traffic inside a scenario
 (:mod:`repro.scenarios`), or to import an externally captured access
-log.  Traces serialize to a line-oriented text format::
+log.  Every recorded trace replays through one class,
+:class:`ColumnarTraceWorkload`, which holds the trace as three columns
+(memory-mapped for a binary v2 file, see :mod:`repro.trace.format`).
+
+The v1 text format is the import/export converter::
 
     # repro-trace v1
     # wss_pages=4096 think_ns=1000 count=30000 name=recorded
@@ -15,6 +19,7 @@ records a think time that differs from the header default, so a
 save/load round trip reproduces every access *exactly* — vpn, write
 flag, and per-access think time included.  The format is deliberately
 trivial so external tools (awk, pandas) can produce it.
+:func:`load_trace` parses it straight into columns.
 """
 
 from __future__ import annotations
@@ -24,11 +29,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock
+from repro.kernel.columnar import AccessBlock
 from repro.sim.process import PageAccess
 from repro.workloads.base import Workload
 
-__all__ = ["save_trace", "load_trace", "RecordedWorkload"]
+__all__ = ["ColumnarTraceWorkload", "load_trace", "save_trace"]
 
 _HEADER = "# repro-trace v1"
 
@@ -75,130 +80,131 @@ def save_trace(
 _INT_METADATA_KEYS = ("wss_pages", "think_ns", "count")
 
 
-def _parse_metadata(line: str) -> dict[str, object]:
+def _parse_metadata(path: Path, line: str) -> dict[str, object]:
+    """The ``key=value`` fields of a v1 metadata line (``wss_pages`` required)."""
     fields: dict[str, object] = {}
     for token in line.lstrip("# ").split():
         key, _, value = token.partition("=")
-        fields[key] = int(value) if key in _INT_METADATA_KEYS else value
+        if key in _INT_METADATA_KEYS:
+            try:
+                fields[key] = int(value)
+            except ValueError:
+                raise ValueError(f"{path}: bad header field {token!r}") from None
+        else:
+            fields[key] = value
+    if "wss_pages" not in fields:
+        raise ValueError(f"{path}: trace header has no wss_pages field")
     return fields
 
 
-def _parse_access(
-    path: Path, line_number: int, line: str, default_think_ns: int
-) -> PageAccess:
-    vpn_text, _, rest = line.partition(",")
-    try:
-        vpn = int(vpn_text)
-    except ValueError as error:
-        raise ValueError(f"{path}:{line_number}: bad vpn {vpn_text!r}") from error
-    is_write = False
-    think_ns = default_think_ns
-    for flag in rest.split(",") if rest else ():
-        if flag == "w":
-            is_write = True
-        elif flag.startswith("t"):
-            try:
-                think_ns = int(flag[1:])
-            except ValueError as error:
-                raise ValueError(
-                    f"{path}:{line_number}: bad think flag {flag!r}"
-                ) from error
-        else:
-            raise ValueError(f"{path}:{line_number}: unknown flag {flag!r}")
-    return PageAccess(vpn=vpn, is_write=is_write, think_ns=think_ns)
-
-
-def load_trace(path: str | Path) -> "RecordedWorkload":
-    """Load a trace file into a replayable workload."""
+def load_trace(path: str | Path) -> "ColumnarTraceWorkload":
+    """Parse a v1 trace file into a replayable columnar workload."""
     path = Path(path)
+    vpns: list[int] = []
+    writes: list[bool] = []
+    thinks: list[int] = []
     with path.open("r", encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n")
         if header != _HEADER:
             raise ValueError(f"{path}: not a repro trace (header {header!r})")
-        metadata = _parse_metadata(handle.readline())
+        metadata = _parse_metadata(path, handle.readline())
         think_ns = int(metadata.get("think_ns", 0))
-        accesses: list[PageAccess] = []
         for line_number, line in enumerate(handle, start=3):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            accesses.append(_parse_access(path, line_number, line, think_ns))
-    if not accesses:
+            vpn_text, _, rest = line.partition(",")
+            try:
+                vpns.append(int(vpn_text))
+            except ValueError:
+                raise ValueError(f"{path}:{line_number}: bad vpn {vpn_text!r}") from None
+            is_write = False
+            think = think_ns
+            for flag in rest.split(",") if rest else ():
+                if flag == "w":
+                    is_write = True
+                elif flag.startswith("t"):
+                    try:
+                        think = int(flag[1:])
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}:{line_number}: bad think flag {flag!r}"
+                        ) from None
+                else:
+                    raise ValueError(f"{path}:{line_number}: unknown flag {flag!r}")
+            writes.append(is_write)
+            thinks.append(think)
+    if not vpns:
         raise ValueError(f"{path}: trace holds no accesses")
     declared = metadata.get("count")
-    if declared is not None and len(accesses) != declared:
-        kind = "truncated" if len(accesses) < declared else "padded"
+    if declared is not None and len(vpns) != declared:
+        kind = "truncated" if len(vpns) < declared else "padded"
         raise ValueError(
             f"{path}: {kind} trace — header declares count={declared} "
-            f"but the file holds {len(accesses)} accesses"
+            f"but the file holds {len(vpns)} accesses"
         )
-    return RecordedWorkload(
-        accesses_list=accesses,
-        wss_pages=int(metadata["wss_pages"]),
-        think_ns=think_ns,
-        name=str(metadata.get("name", "recorded")),
-    )
+    try:
+        return ColumnarTraceWorkload(
+            np.array(vpns, dtype=np.int64),
+            np.array(writes, dtype=np.bool_),
+            np.array(thinks, dtype=np.int64),
+            wss_pages=int(metadata["wss_pages"]),
+            think_ns=think_ns,
+            name=str(metadata.get("name", "recorded")),
+        )
+    except ValueError as error:
+        raise ValueError(f"{path}: {error}") from None
 
 
-class RecordedWorkload(Workload):
-    """A workload that replays a fixed, previously recorded trace."""
+class ColumnarTraceWorkload(Workload):
+    """A recorded trace replayed straight from columnar arrays.
+
+    The replay class of both trace formats: :func:`load_trace` parses
+    v1 text into its columns and :func:`~repro.trace.format.open_trace_v2`
+    memory-maps them.  Its blocks are views sliced off the columns, with
+    no copies.  *validate* checks every vpn lies in the working set and
+    no think time is negative (O(n) scans, skippable for hot reopen
+    paths).
+    """
 
     def __init__(
         self,
-        accesses_list: list[PageAccess],
+        vpn,
+        is_write,
+        think_ns_col,
+        *,
         wss_pages: int,
         think_ns: int = 0,
         name: str = "recorded",
+        validate: bool = True,
     ) -> None:
+        if not (len(vpn) == len(is_write) == len(think_ns_col)):
+            raise ValueError(
+                "trace columns must share one length, got "
+                f"{len(vpn)}/{len(is_write)}/{len(think_ns_col)}"
+            )
         super().__init__(
-            wss_pages=wss_pages,
-            total_accesses=len(accesses_list),
-            think_ns=think_ns,
+            wss_pages=wss_pages, total_accesses=len(vpn), think_ns=think_ns
         )
         self.name = name
-        for access in accesses_list:
-            if not 0 <= access.vpn < wss_pages:
+        if validate:
+            lo, hi = int(vpn.min()), int(vpn.max())
+            if lo < 0 or hi >= wss_pages:
                 raise ValueError(
-                    f"trace access vpn {access.vpn} outside wss {wss_pages}"
+                    f"trace access vpn span [{lo}, {hi}] outside wss {wss_pages}"
                 )
-        self._accesses = accesses_list
+            least_think = int(think_ns_col.min())
+            if least_think < 0:
+                raise ValueError(f"trace holds a negative think time ({least_think} ns)")
+        self.vpn = vpn
+        self.is_write = is_write
+        self.think_ns_col = think_ns_col
+        #: Capture provenance from a v2 file header (may be empty).
+        self.provenance: dict = {}
 
-    def _vpn_stream(self, rng) -> Iterator[int]:
-        """Unreachable by design: :meth:`accesses` replays the trace
-        directly (the base generator would re-draw write flags and
-        think times, corrupting the recording)."""
-        raise NotImplementedError("RecordedWorkload overrides accesses()")
+    def _chunks(self, block_size: int) -> Iterator[AccessBlock]:
+        yield AccessBlock(vpn=self.vpn, is_write=self.is_write, think_ns=self.think_ns_col)
 
-    def accesses(self) -> Iterator[PageAccess]:
-        return iter(self._accesses)
-
-    def columnar_blocks(self, block_size: int | None = None):
-        """Columnar replay: the stored accesses packed once and cached.
-
-        A recording is already fully materialized, so there is no RNG
-        stream to mirror — the columns are built straight from the
-        stored list (write flags and per-access think times included)
-        and reused across replays of the same workload object.
-        """
-        if block_size is None:
-            block_size = DEFAULT_BLOCK_SIZE
-        cached = getattr(self, "_columnar_cache", None)
-        if cached is None or cached[0] != block_size:
-            blocks = []
-            items = self._accesses
-            for start in range(0, len(items), block_size):
-                chunk = items[start : start + block_size]
-                blocks.append(
-                    AccessBlock(
-                        vpn=np.array([a.vpn for a in chunk], dtype=np.int64),
-                        is_write=np.array(
-                            [a.is_write for a in chunk], dtype=np.bool_
-                        ),
-                        think_ns=np.array(
-                            [a.think_ns for a in chunk], dtype=np.int64
-                        ),
-                    )
-                )
-            cached = (block_size, blocks)
-            self._columnar_cache = cached
-        return iter(cached[1])
+    def columns(self):
+        """The raw ``(vpn, is_write, think_ns)`` arrays (analysis input)."""
+        return self.vpn, self.is_write, self.think_ns_col

@@ -1,5 +1,6 @@
 """Tests for the extension modules: GHB, the Leap facade, trace I/O."""
 
+import numpy as np
 import pytest
 
 from repro.core.leap import Leap
@@ -7,7 +8,7 @@ from repro.prefetchers.ghb import GHBPrefetcher
 from repro.sim.process import PageAccess
 from repro.sim.simulate import simulate
 from repro.workloads.patterns import StrideWorkload
-from repro.workloads.trace_io import RecordedWorkload, load_trace, save_trace
+from repro.workloads.trace_io import ColumnarTraceWorkload, load_trace, save_trace
 
 PID = 1
 
@@ -168,4 +169,6 @@ class TestTraceIO:
 
     def test_out_of_range_vpn_rejected(self):
         with pytest.raises(ValueError):
-            RecordedWorkload([PageAccess(vpn=99)], wss_pages=4)
+            ColumnarTraceWorkload(
+                np.array([99]), np.array([False]), np.array([0]), wss_pages=4
+            )

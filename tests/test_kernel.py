@@ -6,7 +6,8 @@ latencies, same LRU orders, same dirty bits, same metrics, for every
 run entry point.  These tests pin that promise at three levels:
 
 * columnar generation — every workload's ``columnar_blocks()`` stream
-  concatenates to exactly its ``accesses()`` stream;
+  concatenates to the same trace at any block size, and the
+  ``accesses()`` view agrees with it;
 * primitive batch ops — ``SimRandom.random_array`` and
   ``reference_bulk`` match their scalar counterparts draw for draw;
 * whole runs — ``simulate`` / ``run_concurrent`` / ``run_cluster``
@@ -32,9 +33,10 @@ from hypothesis import strategies as st
 
 from repro.cluster import FailureEvent
 from repro.datapath.pipeline import AccessKind
-from repro.kernel import AccessBlock, ColumnarCursor, pack_blocks
+from repro.kernel import AccessBlock, ColumnarCursor, reblock
 from repro.kernel.vectorized import STRETCH_EXIT_STREAK
 from repro.mem.lru import ActiveInactiveLRU
+from repro.scenarios.spec import WORKLOAD_KINDS
 from repro.sim.machine import Machine, cluster_config, leap_config
 from repro.sim.process import PageAccess, ProcessDriver, make_driver
 from repro.sim.rng import SimRandom
@@ -48,13 +50,13 @@ from repro.workloads.patterns import (
     ZipfianWorkload,
 )
 from repro.workloads.phased import PhasedWorkload
-from repro.workloads.trace_io import RecordedWorkload
+from repro.workloads.trace_io import ColumnarTraceWorkload
 
 ENGINES = ("object", "vectorized")
 
 
 # ---------------------------------------------------------------------------
-# Columnar generation: blocks concatenate to exactly the object stream.
+# Columnar generation: the stream does not depend on the block size.
 # ---------------------------------------------------------------------------
 
 
@@ -67,7 +69,19 @@ def unpack(workload: Workload, block_size: int):
     return vpns, writes, thinks
 
 
+def recorded(accesses: list[PageAccess], wss_pages: int, think_ns: int = 0):
+    """A replay workload holding *accesses* as columns."""
+    return ColumnarTraceWorkload(
+        np.array([a.vpn for a in accesses], dtype=np.int64),
+        np.array([a.is_write for a in accesses], dtype=np.bool_),
+        np.array([a.think_ns for a in accesses], dtype=np.int64),
+        wss_pages=wss_pages,
+        think_ns=think_ns,
+    )
+
+
 def assert_streams_match(workload: Workload, block_size: int) -> None:
+    """Blocks of *block_size* concatenate to the ``accesses()`` view."""
     expected = list(workload.accesses())
     vpns, writes, thinks = unpack(workload, block_size)
     assert vpns == [a.vpn for a in expected]
@@ -116,20 +130,41 @@ class TestColumnarBlocks:
             PageAccess(vpn=v % 13, is_write=v % 3 == 0, think_ns=100 + v)
             for v in range(40)
         ]
-        workload = RecordedWorkload(accesses, wss_pages=13, think_ns=100)
+        workload = recorded(accesses, wss_pages=13, think_ns=100)
+        assert list(workload.accesses()) == accesses
         assert_streams_match(workload, 16)
-        # Replay twice: the cached columns must not consume state.
+        # Replay twice: reading the columns must not consume state.
         assert_streams_match(workload, 16)
 
-    def test_pack_blocks_generic_packer(self):
-        accesses = [
-            PageAccess(vpn=v, is_write=bool(v % 2), think_ns=v * 10)
-            for v in range(10)
+    @pytest.mark.parametrize("block_size", [0, -3])
+    @pytest.mark.parametrize("kind", sorted(WORKLOAD_KINDS))
+    def test_non_positive_block_size_rejected(self, kind, block_size):
+        params = {"phases": [{"kind": "random"}]} if kind == "phased" else {}
+        workload = WORKLOAD_KINDS[kind](
+            wss_pages=256, total_accesses=100, seed=1, **params
+        )
+        with pytest.raises(ValueError, match="block_size must be positive"):
+            workload.columnar_blocks(block_size)
+
+    def test_reblock_cuts_views_and_truncates(self):
+        def chunk(start, stop):
+            vpn = np.arange(start, stop, dtype=np.int64)
+            return AccessBlock(
+                vpn=vpn, is_write=vpn % 2 == 1, think_ns=vpn * 10
+            )
+
+        source = [chunk(0, 3), chunk(3, 13), chunk(13, 14), chunk(14, 40)]
+        blocks = list(reblock(iter(source), 4, 23))
+        assert [len(b) for b in blocks] == [4, 4, 4, 4, 4, 3]
+        vpn = np.concatenate([b.vpn for b in blocks])
+        assert vpn.tolist() == list(range(23))
+        assert np.concatenate([b.think_ns for b in blocks]).tolist() == [
+            v * 10 for v in range(23)
         ]
-        blocks = list(pack_blocks(iter(accesses), block_size=4))
-        assert [len(b.vpn) for b in blocks] == [4, 4, 2]
-        rebuilt = [a for b in blocks for a in b.accesses()]
-        assert rebuilt == accesses
+        # A block lying inside one chunk is a view of it, not a copy.
+        assert np.shares_memory(blocks[1].vpn, source[1].vpn)
+        with pytest.raises(RuntimeError, match="exhausted after 40"):
+            list(reblock(iter(source), 8, 41))
 
 
 class TestRandomArray:

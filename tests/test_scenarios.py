@@ -144,11 +144,6 @@ class TestArrivals:
         assert [a.is_write for a in rewrapped] == [a.is_write for a in original]
         assert [a.think_ns for a in rewrapped] != [a.think_ns for a in original]
 
-    def test_open_loop_vpn_stream_unreachable(self):
-        wrapped = OpenLoopWorkload(ZipfianWorkload(64, 10), ArrivalSpec(), seed=1)
-        with pytest.raises(NotImplementedError):
-            wrapped._vpn_stream(None)
-
     def test_bad_phase_range_rejected(self):
         with pytest.raises(ValueError):
             ArrivalSpec(burst_accesses=(0, 5))

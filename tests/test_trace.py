@@ -2,19 +2,19 @@
 
 The contract under test, in order of importance:
 
-* **replay equivalence** — a trace replayed through
-  :class:`ColumnarTraceWorkload` (mmap'd v2 columns sliced straight
-  into ``AccessBlock`` views) produces *bit-identical* simulated
-  results to the same trace through the v1-text
-  :class:`RecordedWorkload`, on every run path and both engines;
+* **replay equivalence** — a trace replayed from a v2 file (mmap'd
+  columns sliced straight into ``AccessBlock`` views) produces
+  *bit-identical* simulated results to the same trace loaded from v1
+  text, on every run path and both engines — both formats load into
+  the one replay class, :class:`ColumnarTraceWorkload`;
 * **container round trips** — v2 write/open preserves every access;
   v1 <-> v2 conversion is lossless both ways; trivial-column omission
   is invisible to readers; truncated or padded files fail loudly;
 * **capture identity** — capturing any workload to v2 and replaying
   yields exactly the workload's own access stream (hypothesis-checked
   over random recorded traces too);
-* **KV-cache generator** — the object and columnar paths of
-  :class:`KVCacheWorkload` emit identical streams;
+* **KV-cache generator** — the :class:`KVCacheWorkload` stream does
+  not depend on the block size, and its ``accesses()`` view agrees;
 * **analyzer** — ``analyze_columns`` is deterministic and its numbers
   match hand-computed values on crafted streams.
 
@@ -57,12 +57,13 @@ from repro.trace.format import (
 )
 from repro.workloads.kvcache import KVCacheWorkload
 from repro.workloads.patterns import ZipfianWorkload
-from repro.workloads.trace_io import RecordedWorkload, load_trace, save_trace
+from repro.workloads.trace_io import load_trace, save_trace
 
 from test_kernel import (
     ENGINES,
     assert_streams_match,
     machine_fingerprint,
+    recorded,
     run_both,
     summary_fingerprint,
 )
@@ -233,7 +234,7 @@ class TestCaptureAndConvert:
         save_trace(v1, accesses, wss_pages=5)
         v2 = tmp_path / "t.rtrace"
         convert_trace(v1, v2)
-        assert isinstance(load_any_trace(v1), RecordedWorkload)
+        assert isinstance(load_any_trace(v1), ColumnarTraceWorkload)
         assert isinstance(load_any_trace(v2), ColumnarTraceWorkload)
         with pytest.raises(ValueError, match="trace"):
             load_any_trace(tmp_path / "missing.trace")
@@ -273,14 +274,63 @@ class TestV1Hardening:
         assert load_trace(path).total_accesses == 3
 
 
+class TestMalformedInput:
+    """Bad trace input fails at load time, naming the file."""
+
+    def test_v1_header_without_wss_pages(self, tmp_path):
+        path = tmp_path / "nowss.trace"
+        path.write_text("# repro-trace v1\n# think_ns=0 count=2 name=x\n0\n1\n")
+        for load in (load_trace, load_any_trace, read_trace_meta):
+            with pytest.raises(ValueError, match="nowss.trace.*wss_pages"):
+                load(path)
+
+    def test_v1_bad_header_number(self, tmp_path):
+        path = tmp_path / "badnum.trace"
+        path.write_text("# repro-trace v1\n# wss_pages=lots\n0\n")
+        with pytest.raises(ValueError, match="badnum.trace.*wss_pages=lots"):
+            load_trace(path)
+
+    def test_v1_negative_think_time(self, tmp_path):
+        path = tmp_path / "neg.trace"
+        path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=10\n0\n1,t-5\n2\n")
+        with pytest.raises(ValueError, match="neg.trace.*negative think"):
+            load_trace(path)
+        path.write_text("# repro-trace v1\n# wss_pages=4 think_ns=-1\n0\n")
+        with pytest.raises(ValueError, match="negative think"):
+            load_trace(path)
+
+    def test_v2_negative_think_time(self, tmp_path):
+        path = tmp_path / "neg.rtrace"
+        think = np.array([5, 5, 123456789, 5], dtype=np.int64)
+        write_trace_v2(path, np.arange(4), think_ns=think, wss_pages=4)
+        raw = path.read_bytes()
+        marker = np.int64(123456789).tobytes()
+        assert raw.count(marker) == 1
+        path.write_bytes(raw.replace(marker, np.int64(-7).tobytes()))
+        with pytest.raises(TraceFormatError, match="neg.rtrace.*negative think"):
+            open_trace_v2(path)
+        with pytest.raises(ValueError, match="negative think"):
+            load_any_trace(path)
+
+    def test_write_v2_rejects_negative_think_time(self, tmp_path):
+        path = tmp_path / "w.rtrace"
+        with pytest.raises(ValueError, match="negative think"):
+            write_trace_v2(
+                path, np.arange(3), think_ns=np.array([1, -7, 1]), wss_pages=4
+            )
+        with pytest.raises(ValueError, match="negative think"):
+            write_trace_v2(path, np.arange(3), wss_pages=4, think_default=-1)
+        assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
-# Replay equivalence: ColumnarTraceWorkload == RecordedWorkload,
+# Replay equivalence: a v2 replay == the v1 replay of the same trace,
 # byte-for-byte, on every run path and both engines.
 # ---------------------------------------------------------------------------
 
 
 def paired_traces(tmp_path, n=1500, wss=96, seed=21):
-    """The same trace as (RecordedWorkload, ColumnarTraceWorkload)."""
+    """The same trace loaded from (v1 text, v2 binary)."""
     workload = ZipfianWorkload(
         wss_pages=wss, total_accesses=n, seed=seed, skew=1.1, write_fraction=0.25
     )
@@ -372,7 +422,7 @@ class TestReplayEquivalence:
 def test_property_capture_replay_identity(tmp_path_factory, entries):
     """Any recorded trace survives v2 capture -> mmap replay exactly."""
     accesses = [PageAccess(vpn=v, is_write=w, think_ns=t) for v, w, t in entries]
-    workload = RecordedWorkload(accesses, wss_pages=31, think_ns=0)
+    workload = recorded(accesses, wss_pages=31)
     path = tmp_path_factory.mktemp("prop") / "t.rtrace"
     capture_workload(workload, path)
     trace = open_trace_v2(path)
@@ -381,7 +431,7 @@ def test_property_capture_replay_identity(tmp_path_factory, entries):
 
 
 # ---------------------------------------------------------------------------
-# KV-cache paging workload: object path == columnar path.
+# KV-cache paging workload: block-size independence, determinism.
 # ---------------------------------------------------------------------------
 
 

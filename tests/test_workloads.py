@@ -1,5 +1,6 @@
 """Tests for the workload generators."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.pattern_windows import window_fractions
@@ -15,7 +16,7 @@ from repro.workloads.patterns import (
 from repro.sim.process import PageAccess
 from repro.workloads.powergraph import PowerGraphWorkload
 from repro.workloads.segments import SegmentMixWorkload
-from repro.workloads.trace_io import RecordedWorkload, load_trace, save_trace
+from repro.workloads.trace_io import ColumnarTraceWorkload, load_trace, save_trace
 from repro.workloads.voltdb import VoltDBWorkload
 
 ALL_WORKLOADS = [
@@ -257,15 +258,8 @@ class TestTraceRoundTrip:
         with pytest.raises(ValueError, match="no accesses"):
             load_trace(path)
 
-    def test_vpn_stream_is_unreachable_by_design(self):
-        """RecordedWorkload overrides accesses(); the base generator
-        path must stay closed (it would re-draw write flags)."""
-        workload = RecordedWorkload(
-            [PageAccess(vpn=0)], wss_pages=4, think_ns=0
-        )
-        with pytest.raises(NotImplementedError):
-            next(workload._vpn_stream(None))
-
     def test_out_of_range_vpn_rejected(self):
         with pytest.raises(ValueError, match="outside wss"):
-            RecordedWorkload([PageAccess(vpn=99)], wss_pages=4)
+            ColumnarTraceWorkload(
+                np.array([99]), np.array([False]), np.array([0]), wss_pages=4
+            )

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from repro.control.spec import BalancerSpec, ControlSpec, GovernorSpec
-from repro.kernel.columnar import AccessBlock
+from repro.kernel.columnar import Columns
 from repro.sim.rng import SimRandom, derive_seed
 from repro.trace.convert import load_any_trace
 from repro.workloads.base import Workload
@@ -402,16 +402,12 @@ class OpenLoopWorkload(Workload):
         self.arrival = arrival
         self.name = f"open-loop/{inner.name}"
 
-    def _chunks(self, block_size: int) -> Iterator[AccessBlock]:
+    def _chunks(self, block_size: int) -> Iterator[Columns]:
         """The inner blocks with their think times replaced by gaps."""
         gaps = self.arrival.gaps(SimRandom(self.seed, f"arrivals/{self.name}"))
         for block in self.inner.columnar_blocks(block_size):
             n = len(block)
-            yield AccessBlock(
-                vpn=block.vpn,
-                is_write=block.is_write,
-                think_ns=np.fromiter(islice(gaps, n), np.int64, count=n),
-            )
+            yield block.vpn, block.is_write, np.fromiter(islice(gaps, n), np.int64, count=n)
 
 
 def _build_workload(tenant: TenantSpec, accesses: int, seed: int) -> Workload:

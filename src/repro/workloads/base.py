@@ -21,18 +21,11 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock, reblock
+from repro.kernel.columnar import DEFAULT_BLOCK_SIZE, AccessBlock, Columns, reblock
 from repro.sim.process import PageAccess
 from repro.sim.rng import SimRandom
 
 __all__ = ["Workload", "materialize_columns"]
-
-#: Block size behind the :meth:`Workload.accesses` view.  The object
-#: engine takes one access at a time, so each of its tenants holds one
-#: block decoded into Python objects; at the default 8192 the four
-#: paper-application tenants peaked ~3 MiB higher.  The stream is the
-#: same at any block size.
-_VIEW_BLOCK_SIZE = 1024
 
 
 class Workload:
@@ -73,40 +66,40 @@ class Workload:
 
         The arrays concatenate to the pattern's page sequence; *rng* is
         the workload's ``vpns`` stream and *batch* a sizing hint for
-        arrays of per-draw randomness.  :meth:`_chunks` clamps the vpns
-        into the working set, draws the write flags, fills the think
-        times, and :meth:`columnar_blocks` truncates the result.
+        arrays of per-draw randomness.  :meth:`_chunks` cuts the arrays
+        to ``total_accesses`` in blocks, clamps the vpns into the
+        working set, draws the write flags and fills the think times.
         """
         raise NotImplementedError(
             f"{type(self).__name__} implements neither _vpn_arrays nor _chunks"
         )
 
-    def _chunks(self, block_size: int) -> Iterator[AccessBlock]:
-        """The raw trace as blocks of any length (may be infinite).
+    def _chunks(self, block_size: int) -> Iterator[Columns]:
+        """The raw trace as ``(vpn, is_write, think_ns)`` column chunks.
 
-        The default builds it from :meth:`_vpn_arrays`: the labelled
-        ``writes`` stream is spawned before ``vpns``, write flags are
-        one uniform draw per access exactly when ``write_fraction > 0``,
-        and every access thinks ``think_ns``.  Workloads whose write
-        flags or think times are not drawn this way override this.
+        Chunks may have any lengths and the stream may be infinite.  The
+        default builds it from :meth:`_vpn_arrays`, cut into
+        *block_size* pieces first so that each write-flag batch is one
+        block: the labelled ``writes`` stream is spawned before
+        ``vpns``, write flags are one uniform draw per access exactly
+        when ``write_fraction > 0``, and every access thinks
+        ``think_ns``.  Workloads whose write flags or think times are
+        not drawn this way override this.
         """
         rng = SimRandom(self.seed, f"workload/{self.name}")
         write_rng = rng.spawn("writes")
         wss = self.wss_pages
         think = self.think_ns
         wf = self.write_fraction
-        batch = min(block_size, self.total_accesses)
-        for vpn in self._vpn_arrays(rng.spawn("vpns"), batch):
+        total = self.total_accesses
+        arrays = self._vpn_arrays(rng.spawn("vpns"), min(block_size, total))
+        for (vpn,) in reblock(((array,) for array in arrays), block_size, total):
             n = len(vpn)
             if wf > 0.0:
                 writes = write_rng.random_array(n) < wf
             else:
                 writes = np.zeros(n, dtype=np.bool_)
-            yield AccessBlock(
-                vpn=vpn % wss,
-                is_write=writes,
-                think_ns=np.full(n, think, dtype=np.int64),
-            )
+            yield vpn % wss, writes, np.full(n, think, dtype=np.int64)
 
     def columnar_blocks(self, block_size: int | None = None) -> Iterator[AccessBlock]:
         """The trace: ``total_accesses`` accesses as columnar blocks.
@@ -118,7 +111,8 @@ class Workload:
         """
         if block_size is None:
             block_size = DEFAULT_BLOCK_SIZE
-        return reblock(self._chunks(block_size), block_size, self.total_accesses)
+        blocks = reblock(self._chunks(block_size), block_size, self.total_accesses)
+        return (AccessBlock(*columns) for columns in blocks)
 
     def accesses(self) -> Iterator[PageAccess]:
         """The trace as one :class:`PageAccess` per touch.
@@ -126,7 +120,7 @@ class Workload:
         A view over :meth:`columnar_blocks` (the object engine's input).
         """
         return chain.from_iterable(
-            block.accesses() for block in self.columnar_blocks(_VIEW_BLOCK_SIZE)
+            block.accesses() for block in self.columnar_blocks()
         )
 
 

@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.kernel.columnar import AccessBlock
+from repro.kernel.columnar import Columns
 from repro.sim.rng import SimRandom
 from repro.workloads.base import Workload
 
@@ -75,7 +75,7 @@ class KVCacheWorkload(Workload):
         self.lookups_per_append = lookups_per_append
         self.recency_skew = recency_skew
 
-    def _chunks(self, block_size: int) -> Iterator[AccessBlock]:
+    def _chunks(self, block_size: int) -> Iterator[Columns]:
         """Request cycles, one chunk per run: the hot prefix re-read,
         the append run(s) wrapping around the ring ``[hot_pages,
         wss_pages)``, and the recency-biased lookups."""
@@ -86,10 +86,10 @@ class KVCacheWorkload(Workload):
         skew = self.recency_skew
         lookups = self.lookups_per_append
         think = self.think_ns
-        prefix = AccessBlock(
-            vpn=np.arange(hot, dtype=np.int64),
-            is_write=np.zeros(hot, dtype=np.bool_),
-            think_ns=np.full(hot, think, dtype=np.int64),
+        prefix = (
+            np.arange(hot, dtype=np.int64),
+            np.zeros(hot, dtype=np.bool_),
+            np.full(hot, think, dtype=np.int64),
         )
         written = 0
         while True:
@@ -98,10 +98,10 @@ class KVCacheWorkload(Workload):
             while remaining:
                 head = written % ring
                 run = min(remaining, ring - head)
-                yield AccessBlock(
-                    vpn=np.arange(hot + head, hot + head + run, dtype=np.int64),
-                    is_write=np.ones(run, dtype=np.bool_),
-                    think_ns=np.full(run, think, dtype=np.int64),
+                yield (
+                    np.arange(hot + head, hot + head + run, dtype=np.int64),
+                    np.ones(run, dtype=np.bool_),
+                    np.full(run, think, dtype=np.int64),
                 )
                 written += run
                 remaining -= run
@@ -111,8 +111,8 @@ class KVCacheWorkload(Workload):
                     (avail * draw.random_array(lookups) ** skew).astype(np.int64),
                     avail - 1,
                 )
-                yield AccessBlock(
-                    vpn=hot + (written - 1 - offsets) % ring,
-                    is_write=np.zeros(lookups, dtype=np.bool_),
-                    think_ns=np.full(lookups, think, dtype=np.int64),
+                yield (
+                    hot + (written - 1 - offsets) % ring,
+                    np.zeros(lookups, dtype=np.bool_),
+                    np.full(lookups, think, dtype=np.int64),
                 )

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.kernel.columnar import AccessBlock
+from repro.kernel.columnar import Columns
 from repro.sim.process import PageAccess
 from repro.workloads.base import Workload
 
@@ -202,8 +202,8 @@ class ColumnarTraceWorkload(Workload):
         #: Capture provenance from a v2 file header (may be empty).
         self.provenance: dict = {}
 
-    def _chunks(self, block_size: int) -> Iterator[AccessBlock]:
-        yield AccessBlock(vpn=self.vpn, is_write=self.is_write, think_ns=self.think_ns_col)
+    def _chunks(self, block_size: int) -> Iterator[Columns]:
+        yield self.vpn, self.is_write, self.think_ns_col
 
     def columns(self):
         """The raw ``(vpn, is_write, think_ns)`` arrays (analysis input)."""

@@ -149,20 +149,17 @@ class TestColumnarBlocks:
     def test_reblock_cuts_views_and_truncates(self):
         def chunk(start, stop):
             vpn = np.arange(start, stop, dtype=np.int64)
-            return AccessBlock(
-                vpn=vpn, is_write=vpn % 2 == 1, think_ns=vpn * 10
-            )
+            return vpn, vpn * 10
 
         source = [chunk(0, 3), chunk(3, 13), chunk(13, 14), chunk(14, 40)]
         blocks = list(reblock(iter(source), 4, 23))
-        assert [len(b) for b in blocks] == [4, 4, 4, 4, 4, 3]
-        vpn = np.concatenate([b.vpn for b in blocks])
-        assert vpn.tolist() == list(range(23))
-        assert np.concatenate([b.think_ns for b in blocks]).tolist() == [
+        assert [len(vpn) for vpn, _ in blocks] == [4, 4, 4, 4, 4, 3]
+        assert np.concatenate([vpn for vpn, _ in blocks]).tolist() == list(range(23))
+        assert np.concatenate([think for _, think in blocks]).tolist() == [
             v * 10 for v in range(23)
         ]
         # A block lying inside one chunk is a view of it, not a copy.
-        assert np.shares_memory(blocks[1].vpn, source[1].vpn)
+        assert np.shares_memory(blocks[1][0], source[1][0])
         with pytest.raises(RuntimeError, match="exhausted after 40"):
             list(reblock(iter(source), 8, 41))
 
